@@ -57,9 +57,10 @@ def cmd_automaton(args) -> int:
     system = _load_system(args.system)
     a = _build_stage(system, args)
     if args.stats:
+        trimmed = fsa.trim(a)
         print(f"states {a.num_states}")
-        print(f"trimmed {fsa.trim(a).num_states}")
-        print(f"minimized {fsa.minimize(a).num_states}")
+        print(f"trimmed {trimmed.num_states}")
+        print(f"minimized {fsa.minimize(trimmed).num_states}")
     if args.dot:
         _write_or_print(a.to_dot(keep_dead=args.keep_sink), args.dot)
     if args.out or not (args.stats or args.dot):
@@ -70,7 +71,7 @@ def cmd_automaton(args) -> int:
 def cmd_series(args) -> int:
     system = _load_system(args.system)
     args.stage = "cfc" if args.per_expression else "pipeline"
-    a = _build_stage(system, args)
+    a = fsa.minimize(fsa.trim(_build_stage(system, args)))
     coeffs = genfun.count_by_length(a, args.max_len)
     doc = {"coeffs": [str(c) for c in coeffs]}
     _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -80,9 +81,7 @@ def cmd_series(args) -> int:
 def cmd_genfun(args) -> int:
     system = _load_system(args.system)
     args.stage = "cfc" if args.per_expression else "pipeline"
-    a = _build_stage(system, args)
-    coeffs = genfun.count_by_length(a, 2 * a.num_states + 2)
-    gf = genfun.to_rational(coeffs)
+    coeffs, gf = genfun.counted_genfun(_build_stage(system, args))
     doc = {"coeffs": [str(c) for c in coeffs]}
     doc.update(gf.to_json_dict())
     print(gf)
@@ -108,7 +107,9 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     system = _load_system(args.system)
     args.stage = "pipeline"
-    a = _build_stage(system, args)
+    # trimmed, the machine has one dead state, so the witness search below
+    # walks only prefixes of accepted words instead of every word
+    a = fsa.trim(_build_stage(system, args))
     got = genfun.count_by_length(a, args.max_len)
     report = oracle.count_elements(
         system, args.max_len, kind="cfc", budget=args.class_budget, witnesses=True

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import fsa
 from .errors import InternalError
-from .fsa import Dfa
 
 
-def count_by_length(a: Dfa, n_max: int) -> list[int]:
+def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
     """coeffs[k] = number of accepted words of length k, 0 <= k <= n_max."""
     vec = [0] * a.num_states
     vec[a.initial] = 1
@@ -150,9 +150,20 @@ def to_rational(seq, rec: tuple[Fraction, ...] | None = None) -> RationalGF:
     return gf
 
 
-def genfun_of_dfa(a: Dfa) -> RationalGF:
-    """Generating function of a DFA's length series.  The prefix length
-    2*states+2 makes Berlekamp-Massey minimality certain, since any DFA
-    series satisfies a recurrence of order at most the state count."""
-    seq = count_by_length(a, 2 * a.num_states + 2)
-    return to_rational(seq)
+def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:
+    """Length series prefix and generating function of a DFA's language.
+
+    Counting runs on m = minimize(trim(a)), the smallest machine with the
+    same language and therefore the same series, to the horizon 2*m+2
+    (lengths 0..2m+2).  Any DFA series satisfies a recurrence of order at
+    most its state count, and Berlekamp-Massey needs only twice the order
+    in terms to fix it, so the recovered recurrence is certainly minimal.
+    Trimming first keeps minimize off the dead states of a raw product."""
+    m = fsa.minimize(fsa.trim(a))
+    seq = count_by_length(m, 2 * m.num_states + 2)
+    return seq, to_rational(seq)
+
+
+def genfun_of_dfa(a: fsa.Dfa) -> RationalGF:
+    """Generating function of a DFA's length series (see counted_genfun)."""
+    return counted_genfun(a)[1]

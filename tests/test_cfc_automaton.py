@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfcgf import fsa
+from cfcgf import fsa, lexnf
 from cfcgf.cfc_automaton import (
     build,
     initial_state,
@@ -282,6 +282,20 @@ def test_known_limit_of_the_bounded_summaries():
     a = build(system)
     assert not a.accepts(bad)  # the witness-first rule stays conservative
     assert not a.accepts(good)  # ... at the documented cost of this word
+
+
+def test_wrong_words_of_the_rank_6_cycle_found_on_live_prefixes():
+    # the tA5 pipeline accepts six length-11 words although no CFC element
+    # of that length exists (brute force counts 0).  Trimmed, the pipeline
+    # has one dead state, so the witness search behind `verify` walks only
+    # prefixes of accepted words; on the raw product it walked all 6^11
+    # words and ran out of memory.
+    system = preset_system("tA5")
+    a = fsa.trim(fsa.intersect(build(system), lexnf.build(system)))
+    wrong = [w for w in fsa.accepted_words(a, 11) if len(w) == 11]
+    assert len(wrong) == 6
+    assert (0, 1, 2, 5, 0, 1, 4, 3, 2, 5, 4) in wrong
+    assert not any(is_cfc(system, w) for w in wrong)
 
 
 def test_state_budget_is_enforced():

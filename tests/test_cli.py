@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cfcgf import cfc_automaton, fsa, lexnf
 from cfcgf.cli import main
+from cfcgf.core import preset_system
 
 
 def run(capsys, *argv):
@@ -116,6 +118,19 @@ def test_genfun_writes_json_document(capsys, tmp_path):
     assert doc["den"] == ["1"]
     assert doc["coeffs"][:5] == ["1", "2", "2", "0", "2"]
     assert set(doc["coeffs"][5:]) == {"0"}
+
+
+def test_genfun_counts_to_twice_the_minimized_states(capsys, tmp_path):
+    target = tmp_path / "gf.json"
+    code, _, _ = run(capsys, "genfun", "--system", "tA3", "--out", str(target))
+    assert code == 0
+    system = preset_system("tA3")
+    raw = fsa.intersect(cfc_automaton.build(system), lexnf.build(system))
+    m = fsa.minimize(fsa.trim(raw)).num_states
+    doc = json.loads(target.read_text())
+    # the horizon is 2*m+2, so the counts cover lengths 0..2m+2
+    assert len(doc["coeffs"]) == 2 * m + 3
+    assert len(doc["coeffs"]) < 2 * raw.num_states + 3
 
 
 def test_oracle_report(capsys):

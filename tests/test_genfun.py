@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcgf import cfc_automaton, fsa, lexnf
-from cfcgf.core import CoxeterSystem, preset_system
+from cfcgf.core import CoxeterSystem, parse_system, preset_system
 from cfcgf.errors import InternalError
 from cfcgf.genfun import (
     RationalGF,
     count_by_length,
+    counted_genfun,
     find_recurrence,
     genfun_of_dfa,
     to_rational,
@@ -99,6 +100,25 @@ def test_rational_form_reexpands_to_the_direct_count(name):
     a = pipeline(preset_system(name))
     gf = genfun_of_dfa(a)
     assert gf.expand(20) == count_by_length(a, 20)
+
+
+TRIANGLES = {
+    "4/inf/2": '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}',
+    "inf": '{"matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]]}',
+}
+
+
+@pytest.mark.parametrize("name", ["tA3", "tA4", "A6", "B5", "D5", *TRIANGLES])
+def test_reduced_machine_gives_the_raw_machines_answer(name):
+    # counting on minimize(trim(a)) to 2*minimized+2 must reproduce the
+    # P/Q counted on the raw product to 2*raw+2, wrong ones included
+    system = parse_system(TRIANGLES[name]) if name in TRIANGLES else preset_system(name)
+    raw = pipeline(system)
+    seq, gf = counted_genfun(raw)
+    m = fsa.minimize(fsa.trim(raw)).num_states
+    assert m < raw.num_states
+    assert seq == count_by_length(raw, 2 * m + 2)
+    assert gf == to_rational(count_by_length(raw, 2 * raw.num_states + 2))
 
 
 def test_counting_is_invariant_under_trim_and_minimize():
