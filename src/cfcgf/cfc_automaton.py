@@ -20,29 +20,18 @@ Pairs with an infinite label get the same treatment through a bounded
 summary (first/last letters and a 0/1/2+ size class per chain) since their
 chains never complete a braid but still decide cyclic reducedness.
 
-The chain bookkeeping yields a per-pair acceptance test (`is_final`): the
-glued chain c = D·IC (D is CC minus the underlined letters) must stay short
-of the braid length, carry no equal adjacent letters, and, when CC is
-non-empty and fully underlined (the only situation where the chain closes
-around the whole cyclic word), its two ends must differ.  Watches reject
-when their pair's initial chain starts with the watched letter, unless
-exempt.  That test is sound on every system we could check it on except
-those where a braid closes around the cut through letters that commute with
-only one end of the chain (first seen on the rank-4 path with labels
-3,3,4): the chains only record runs placeable at the very front or back, so
-such a word is indistinguishable from a harmless one by the chain data
-alone.
-
-`build` therefore decides acceptance differently: a word is cyclically
-reduced-and-commutation-friendly iff every rotation of it avoids the sink
-(rotating a word never changes its cyclic structure, and the sink exactly
-captures the linear failures).  Each state remembers the first word that
-reached it, and is accepting iff that witness survives re-reading from
-every cyclic starting point.  Whenever the state space separates words with
-different cyclic verdicts — which holds everywhere we have exhaustively
-tested except one documented family with an infinite label — this is exact;
-`is_final` remains available and drives the deliberately degraded build
-variants used in regression demonstrations.
+A word is cyclically fully commutative iff every rotation of it avoids the
+sink: rotating a word never changes its cyclic structure, and the sink
+exactly captures the linear failures.  Each state remembers the first word
+that reached it, and is accepting iff that witness survives re-reading from
+every cyclic starting point.  This is exact whenever no state holds two
+words with different cyclic verdicts, which is what the chain data in the
+state is there for: it tells such words apart.  It does not always manage
+it.  With labels 4/inf/2 the bounded summary of the infinite pair gives two
+such words one state (pinned in the tests), and the rule stays
+conservative; on the affine cycles tA5 and tA6 merged states make it
+accept words that are not cyclically fully commutative (the shortest have
+lengths 11 and 13).
 """
 
 from __future__ import annotations
@@ -70,9 +59,6 @@ class FinitePairState(NamedTuple):
                 break
             n += 1
         return n
-
-    def d(self) -> tuple[int, ...]:
-        return tuple(g for g, u in self.cc if not u)
 
 
 class InfPairState(NamedTuple):
@@ -207,15 +193,9 @@ def transition(
     tracked: tuple[TrackedPair, ...],
     q: State,
     s: int,
-    literal_flags: bool = False,
 ) -> State | None:
-    """Successor state, or None for the sink.
-
-    literal_flags switches the braid-watch flag to "the armed letter was
-    underlined", a historically interesting but over-eager convention kept
-    for state-census comparisons; the default flag is "the chain swallowed
-    the whole initial chain", which is what cyclic safety actually needs.
-    """
+    """Successor state, or None for the sink.  A braid watch armed here is
+    exempt when its chain swallowed the whole initial chain."""
     if not (q.e >> s) & 1:
         return None
     for f, _, _ in q.eprime:
@@ -241,11 +221,7 @@ def transition(
                     )
                 if len(nrec.cc) == pair.m - 1:
                     other = pair.t if s == pair.s else pair.s
-                    if literal_flags:
-                        flag = nrec.cc[-1][1]
-                    else:
-                        flag = nrec.shared() == len(nrec.ic)
-                    armed.append((other, s, flag))
+                    armed.append((other, s, nrec.shared() == len(nrec.ic)))
         else:
             nrec = _cross(rec, pair, system, s)
         new_pairs.append(nrec)
@@ -253,68 +229,6 @@ def transition(
         p for p in q.eprime if system.commutes(p[0], s)
     ) | frozenset(armed)
     return State(e, eprime, tuple(new_pairs))
-
-
-def _c_parts(rec: PairState) -> tuple:
-    """(d_first, d_last, d_len_class, ic_first, ic_last, ic_len_class,
-    cc_empty, cc_fully_marked) for the finality tests."""
-    if isinstance(rec, FinitePairState):
-        d = rec.d()
-        df = d[0] if d else None
-        dl = d[-1] if d else None
-        icf = rec.ic[0] if rec.ic else None
-        icl = rec.ic[-1] if rec.ic else None
-        return (
-            df, dl, len(d), icf, icl, len(rec.ic),
-            not rec.cc, bool(rec.cc) and not d,
-        )
-    return (
-        rec.d_first, rec.d_last, rec.d_size,
-        rec.ic_first, rec.ic_last, rec.ic_size,
-        rec.cc_last is None, rec.cc_last is not None and rec.d_size == 0,
-    )
-
-
-def is_final(
-    system: CoxeterSystem,
-    tracked: tuple[TrackedPair, ...],
-    q: State,
-    wrap_check: bool = True,
-) -> bool:
-    """Chain-based cyclic acceptance test over a single state's records.
-
-    Sound on rank <= 3 systems and many others, but blind to braids that
-    close around the cut through letters commuting with only one chain end
-    (see the module docstring), so `build` uses witness rotation instead;
-    this predicate drives the deliberately degraded variants.  With
-    wrap_check false the glued chain is tested as a linear word only."""
-    by_pair = {}
-    for pair, rec in zip(tracked, q.pairs):
-        df, dl, dn, icf, icl, icn, cc_empty, cc_marked = _c_parts(rec)
-        by_pair[(pair.s, pair.t)] = rec
-        total = dn + icn
-        if not pair.unbounded and total > pair.m - 1:
-            return False
-        if dn and icn and dl == icf:
-            return False
-        if wrap_check and cc_marked and total >= 2:
-            # chain closes around the cyclic word only when it sits at both
-            # the front and the back, i.e. is non-empty and fully marked
-            first = df if dn else icf
-            last = icl if icn else dl
-            if first == last:
-                return False
-    for f, sec, exempt in q.eprime:
-        if exempt:
-            continue
-        key = (f, sec) if f < sec else (sec, f)
-        rec = by_pair[key]
-        if isinstance(rec, FinitePairState):
-            if rec.ic and rec.ic[0] == f:
-                return False
-        else:  # pragma: no cover - watches never arm on unbounded pairs
-            raise InternalError("braid watch on an unbounded pair")
-    return True
 
 
 def state_debug_dict(system: CoxeterSystem, tracked, q: State) -> dict:
@@ -369,28 +283,17 @@ def build(
     system: CoxeterSystem,
     mode: str = "cfc",
     state_budget: int = DEFAULT_STATE_BUDGET,
-    wrap_check: bool = True,
-    track_unbounded: bool = True,
-    literal_flags: bool = False,
 ) -> Dfa:
     """Breadth-first closure from the empty-word state.  State 0 is the
     start, state 1 the sink; the rest are numbered in discovery order.
 
-    In cfc mode a state is accepting iff the first word that reached it
-    still avoids the sink when re-read from every cyclic starting point
-    (see the module docstring; the sink captures the linear failures, and
-    rotation exhausts the cyclic ones).  The degraded variants instead use
-    the per-pair chain test `is_final`: wrap_check=False reads the glued
-    chain linearly, and literal_flags=True switches the braid-watch flag
-    convention and over-rejects some cyclic words; both are kept for
-    regression demonstrations.  track_unbounded=False drops the pair
-    records for infinite labels, which merges states that need telling
-    apart."""
+    In fc mode every state but the sink accepts: the language is the
+    reduced fully commutative words.  In cfc mode a state accepts iff the
+    first word that reached it still avoids the sink when re-read from
+    every cyclic starting point (see the module docstring)."""
     if mode not in ("cfc", "fc"):
         raise ValueError(f"mode must be 'cfc' or 'fc', not {mode!r}")
     tracked = system.tracked_pairs()
-    if not track_unbounded:
-        tracked = tuple(p for p in tracked if not p.unbounded)
     start = initial_state(system, tracked)
     queue = deque([start])
     sink = 1  # reserved before any discovery so builds are reproducible
@@ -403,7 +306,7 @@ def build(
         qid = numbered[q]
         row = []
         for s in system.generators:
-            r = transition(system, tracked, q, s, literal_flags=literal_flags)
+            r = transition(system, tracked, q, s)
             if r is None:
                 row.append(sink)
                 continue
@@ -422,19 +325,14 @@ def build(
     full = [[sink] * system.rank for _ in range(n)]
     for qid, row in table.items():
         full[qid] = row
-    finals: set[int] = set()
     if mode == "fc":
         finals = set(range(n)) - {sink}
-    elif wrap_check and not literal_flags:
+    else:
         finals = {
             qid
             for qid, word in witnesses.items()
             if _survives_all_rotations(full, sink, word)
         }
-    else:
-        for st, qid in numbered.items():
-            if is_final(system, tracked, st, wrap_check=wrap_check):
-                finals.add(qid)
     return Dfa(
         alphabet_size=system.rank,
         delta=tuple(tuple(r) for r in full),

@@ -28,18 +28,10 @@ def _load_system(source: str) -> CoxeterSystem:
 
 
 def _build_stage(system: CoxeterSystem, args) -> fsa.Dfa:
-    wrap = not args.linear_factor_check
-    track = not args.no_unbounded_tracking
     if args.stage == "lexnf":
         return lexnf.build(system, state_budget=args.state_budget)
     mode = "fc" if args.stage == "fc" else "cfc"
-    a = cfc_automaton.build(
-        system,
-        mode=mode,
-        state_budget=args.state_budget,
-        wrap_check=wrap,
-        track_unbounded=track,
-    )
+    a = cfc_automaton.build(system, mode=mode, state_budget=args.state_budget)
     if args.stage == "pipeline":
         a = fsa.intersect(a, lexnf.build(system, state_budget=args.state_budget))
     return a
@@ -104,18 +96,29 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    system = _load_system(args.system)
-    args.stage = "pipeline"
+def verify(
+    system: CoxeterSystem,
+    dfa: fsa.Dfa,
+    max_len: int,
+    class_budget: int = oracle.DEFAULT_CLASS_BUDGET,
+) -> tuple[int, int, int, fsa.Word, str] | None:
+    """Compare the per-length counts of dfa, which should accept one word
+    per CFC element, with the brute-force counts up to max_len.
+
+    Returns None when every length agrees, and otherwise (length,
+    automaton count, oracle count, witness, side) for the shortest length
+    that does not: the witness is the least word of that length accepted
+    by exactly one side, and side says which ("automaton only" or "oracle
+    only")."""
     # trimmed, the machine has one dead state, so the witness search below
     # walks only prefixes of accepted words instead of every word
-    a = fsa.trim(_build_stage(system, args))
-    got = genfun.count_by_length(a, args.max_len)
+    a = fsa.trim(dfa)
+    got = genfun.count_by_length(a, max_len)
     report = oracle.count_elements(
-        system, args.max_len, kind="cfc", budget=args.class_budget, witnesses=True
+        system, max_len, kind="cfc", budget=class_budget, witnesses=True
     )
     want = report.counts()
-    for k in range(args.max_len + 1):
+    for k in range(max_len + 1):
         if got[k] == want[k]:
             continue
         assert report.witnesses is not None
@@ -126,12 +129,23 @@ def cmd_verify(args) -> int:
         diff = sorted(machine ^ hand)
         witness = diff[0] if diff else ()
         side = "automaton only" if witness in machine else "oracle only"
-        word = ",".join(system.names[g] for g in witness)
-        print(f"mismatch at length {k}: automaton {got[k]} vs oracle {want[k]}")
-        print(f"witness [{word}] ({side})")
-        return 1
-    print(f"ok: lengths 0..{args.max_len} agree")
-    return 0
+        return k, got[k], want[k], witness, side
+    return None
+
+
+def cmd_verify(args) -> int:
+    system = _load_system(args.system)
+    args.stage = "pipeline"
+    mismatch = verify(system, _build_stage(system, args), args.max_len,
+                      args.class_budget)
+    if mismatch is None:
+        print(f"ok: lengths 0..{args.max_len} agree")
+        return 0
+    k, got, want, witness, side = mismatch
+    word = ",".join(system.names[g] for g in witness)
+    print(f"mismatch at length {k}: automaton {got} vs oracle {want}")
+    print(f"witness [{word}] ({side})")
+    return 1
 
 
 def _nonneg(text: str) -> int:
@@ -154,11 +168,6 @@ def _common(sub: argparse.ArgumentParser, max_len: bool = False) -> None:
                      default=cfc_automaton.DEFAULT_STATE_BUDGET)
     sub.add_argument("--class-budget", type=int, dest="class_budget",
                      default=oracle.DEFAULT_CLASS_BUDGET)
-    # regression hooks for deliberately broken construction variants
-    sub.add_argument("--linear-factor-check", action="store_true",
-                     dest="linear_factor_check", help=argparse.SUPPRESS)
-    sub.add_argument("--no-unbounded-tracking", action="store_true",
-                     dest="no_unbounded_tracking", help=argparse.SUPPRESS)
 
 
 def make_parser() -> argparse.ArgumentParser:

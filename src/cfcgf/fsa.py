@@ -58,9 +58,6 @@ class Dfa:
     def num_states(self) -> int:
         return len(self.delta)
 
-    def step(self, q: int, a: int) -> int:
-        return self.delta[q][a]
-
     def accepts(self, word: Word) -> bool:
         q = self.initial
         for a in word:
@@ -126,7 +123,8 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def _coreachable(dfa: Dfa) -> set[int]:
+def coreachable(dfa: Dfa) -> set[int]:
+    """States from which some accepting state can be reached."""
     rev: list[list[int]] = [[] for _ in range(dfa.num_states)]
     for q, row in enumerate(dfa.delta):
         for r in row:
@@ -194,7 +192,7 @@ def _with_semantic_dead(dfa: Dfa) -> Dfa:
     """Record a dead state when exactly one reachable state has empty
     language; with more than one the hint stays unset (minimize merges
     them)."""
-    co = _coreachable(dfa)
+    co = coreachable(dfa)
     dead_states = [q for q in _bfs_order(dfa.delta, dfa.initial) if q not in co]
     if len(dead_states) != 1:
         return dfa
@@ -213,7 +211,7 @@ def trim(dfa: Dfa) -> Dfa:
     re-complete with a single dead state.  An empty language collapses to
     one rejecting state."""
     reach = set(_bfs_order(dfa.delta, dfa.initial))
-    keep = reach & _coreachable(dfa)
+    keep = reach & coreachable(dfa)
     if dfa.initial not in keep:
         row = (0,) * dfa.alphabet_size
         return Dfa(dfa.alphabet_size, (row,), 0, frozenset(), 0, dfa.letter_names)
@@ -307,43 +305,41 @@ def minimize(dfa: Dfa) -> Dfa:
     return _with_semantic_dead(result)
 
 
+def _shortest_pair_word(a: Dfa, b: Dfa, hit) -> Word | None:
+    """Shortest, then lexicographically least, word that drives a and b run
+    side by side to states p, q with hit(p, q), or None when no reachable
+    pair of states is a hit."""
+    if a.alphabet_size != b.alphabet_size:
+        raise InputError("cannot compare automata over different alphabets")
+    start = (a.initial, b.initial)
+    seen = {start}
+    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
+    while queue:
+        (p, q), word = queue.popleft()
+        if hit(p, q):
+            return word
+        for c in range(a.alphabet_size):
+            nxt = (a.delta[p][c], b.delta[q][c])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (c,)))
+    return None
+
+
 def difference_witness(a: Dfa, b: Dfa) -> Word | None:
     """Shortest word accepted by exactly one of the two, or None when the
     languages agree.  Ties break lexicographically."""
-    if a.alphabet_size != b.alphabet_size:
-        raise InputError("cannot compare automata over different alphabets")
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
-    while queue:
-        (p, q), word = queue.popleft()
-        if (p in a.finals) != (q in b.finals):
-            return word
-        for c in range(a.alphabet_size):
-            nxt = (a.delta[p][c], b.delta[q][c])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (c,)))
-    return None
+    return _shortest_pair_word(
+        a, b, lambda p, q: (p in a.finals) != (q in b.finals)
+    )
 
 
 def subset_counterexample(a: Dfa, b: Dfa) -> Word | None:
-    """Shortest word accepted by a but not by b, or None if L(a) <= L(b)."""
-    if a.alphabet_size != b.alphabet_size:
-        raise InputError("cannot compare automata over different alphabets")
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
-    while queue:
-        (p, q), word = queue.popleft()
-        if p in a.finals and q not in b.finals:
-            return word
-        for c in range(a.alphabet_size):
-            nxt = (a.delta[p][c], b.delta[q][c])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (c,)))
-    return None
+    """Shortest word accepted by a but not by b, or None if L(a) <= L(b).
+    Ties break lexicographically."""
+    return _shortest_pair_word(
+        a, b, lambda p, q: p in a.finals and q not in b.finals
+    )
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

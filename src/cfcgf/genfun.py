@@ -18,9 +18,16 @@ from .errors import InternalError
 
 
 def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
-    """coeffs[k] = number of accepted words of length k, 0 <= k <= n_max."""
+    """coeffs[k] = number of accepted words of length k, 0 <= k <= n_max.
+
+    Only states from which a final state is reachable carry counts: the
+    words in the others add to no later length, and there they would grow
+    like alphabet**k."""
+    live = fsa.coreachable(a)
+    succ = [[r for r in row if r in live] for row in a.delta]
     vec = [0] * a.num_states
-    vec[a.initial] = 1
+    if a.initial in live:
+        vec[a.initial] = 1
     out = []
     for k in range(n_max + 1):
         out.append(sum(vec[q] for q in a.finals))
@@ -29,7 +36,7 @@ def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
         nxt = [0] * a.num_states
         for q, c in enumerate(vec):
             if c:
-                for r in a.delta[q]:
+                for r in succ[q]:
                     nxt[r] += c
         vec = nxt
     return out

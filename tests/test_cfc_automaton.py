@@ -10,7 +10,6 @@ from cfcgf import fsa, lexnf
 from cfcgf.cfc_automaton import (
     build,
     initial_state,
-    is_final,
     state_debug_dict,
     transition,
 )
@@ -96,7 +95,6 @@ def test_i25_rejects_010_without_sinking():
     for s in (0, 1, 0):
         q = transition(system, tracked, q, s)
         assert q is not None
-    assert not is_final(system, tracked, q)
     assert not build(system).accepts((0, 1, 0))
 
 
@@ -191,37 +189,27 @@ def test_chain_record_invariants(name):
             assert tuple(letters[:shared]) == rec.ic[len(rec.ic) - shared:]
 
 
+def _state_after(system, word):
+    tracked = system.tracked_pairs()
+    q = initial_state(system, tracked)
+    for s in word:
+        q = transition(system, tracked, q, s)
+    return q
+
+
 def test_watch_flag_semantics_differ_from_marking_of_last_letter():
     # 021 in A3: the completed chain swallowed the whole initial chain, so
-    # rotating its head away never yields a braid; the coarser convention
-    # that only looks at the final letter's mark rejects the word.
+    # rotating its head away never yields a braid.  The watches the final,
+    # unmarked 1 arms are exempt, and the word is accepted.
     system = preset_system("A3")
     assert is_cfc(system, (0, 2, 1))
+    assert _state_after(system, (0, 2, 1)).eprime == {(0, 1, True), (2, 1, True)}
     assert build(system).accepts((0, 2, 1))
-    assert not build(system, literal_flags=True).accepts((0, 2, 1))
     # same story one rank up
     system = preset_system("A4")
     assert is_cfc(system, (1, 3, 0, 2))
+    assert _state_after(system, (1, 3, 0, 2)).eprime == {(3, 2, True)}
     assert build(system).accepts((1, 3, 0, 2))
-    assert not build(system, literal_flags=True).accepts((1, 3, 0, 2))
-
-
-def test_flag_convention_does_not_change_the_census():
-    for name in ("A3", "tA2", "tA3"):
-        system = preset_system(name)
-        assert build(system).num_states == build(system, literal_flags=True).num_states
-
-
-def test_wrap_check_hook_over_accepts_010():
-    system = preset_system("I2:5")
-    assert not build(system).accepts((0, 1, 0))
-    assert build(system, wrap_check=False).accepts((0, 1, 0))
-
-
-def test_unbounded_tracking_hook_over_accepts_010():
-    system = preset_system("tA1")
-    assert not build(system).accepts((0, 1, 0))
-    assert build(system, track_unbounded=False).accepts((0, 1, 0))
 
 
 def test_wrap_check_keeps_separated_chain_words():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cfcgf import cfc_automaton, fsa, lexnf
-from cfcgf.cli import main
+from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
 
 
@@ -21,27 +21,40 @@ def test_verify_agreement(capsys):
     assert out == "ok: lengths 0..6 agree\n"
 
 
-def test_verify_reports_wrap_check_regression(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--system", "I2:5", "--max-len", "5",
-        "--linear-factor-check",
-    )
-    assert code == 1
-    assert out == (
-        "mismatch at length 3: automaton 2 vs oracle 0\n"
-        "witness [0,1,0] (automaton only)\n"
+def linear_pipeline(system):
+    # checks no cyclic condition, so it accepts 010, whose rotation 001
+    # is not reduced
+    return fsa.intersect(
+        cfc_automaton.build(system, mode="fc"), lexnf.build(system)
     )
 
 
-def test_verify_reports_unbounded_tracking_regression(capsys):
+def test_verify_reports_wrap_check_regression():
+    system = preset_system("I2:5")
+    assert verify(system, linear_pipeline(system), 5) == (
+        3, 2, 0, (0, 1, 0), "automaton only"
+    )
+
+
+def test_verify_reports_unbounded_tracking_regression():
+    system = preset_system("tA1")
+    assert verify(system, linear_pipeline(system), 5) == (
+        3, 2, 0, (0, 1, 0), "automaton only"
+    )
+
+
+def test_verify_reports_words_only_the_oracle_accepts(capsys):
+    # the known 4/inf/2 limit (see test_known_limit_of_the_bounded_summaries
+    # in test_cfc_automaton.py): update both when it is fixed
     code, out, _ = run(
-        capsys, "verify", "--system", "tA1", "--max-len", "5",
-        "--no-unbounded-tracking",
+        capsys, "verify", "--system",
+        '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}',
+        "--max-len", "9",
     )
     assert code == 1
     assert out == (
-        "mismatch at length 3: automaton 2 vs oracle 0\n"
-        "witness [0,1,0] (automaton only)\n"
+        "mismatch at length 9: automaton 23 vs oracle 24\n"
+        "witness [2,1,2,1,0,1,2,1,0] (oracle only)\n"
     )
 
 

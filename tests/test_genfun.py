@@ -127,6 +127,20 @@ def test_counting_is_invariant_under_trim_and_minimize():
     assert count_by_length(fsa.minimize(a), 12) == count_by_length(a, 12)
 
 
+def test_counting_skips_dead_states_without_a_hint():
+    # the raw B3 product has 24 states that cannot reach acceptance and,
+    # with more than one, no dead hint; accepted_words then walks all words
+    a = pipeline(preset_system("B3"))
+    assert a.dead is None
+    assert a.num_states - len(fsa.coreachable(a)) > 1
+    sizes = [0] * 9
+    for w in fsa.accepted_words(a, 8):
+        sizes[len(w)] += 1
+    assert count_by_length(a, 8) == sizes
+    empty = fsa.Dfa(2, ((1, 0), (1, 1)), 0, frozenset())
+    assert count_by_length(empty, 3) == [0, 0, 0, 0]
+
+
 def _permuted(system, perm):
     n = system.rank
     rows = tuple(
