@@ -36,7 +36,6 @@ lengths 11 and 13).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple, Union
 
 from .core import CoxeterSystem, TrackedPair, cyclic_shifts
@@ -188,14 +187,37 @@ def _cross(rec: PairState, pair: TrackedPair, system: CoxeterSystem, s: int) -> 
     )
 
 
+def _pair_step(
+    system: CoxeterSystem, pair: TrackedPair, rec: PairState, s: int
+) -> tuple[PairState, tuple[int, int, bool] | None]:
+    """One pair's record after reading s, and the braid watch it arms (or
+    None).  A watch is exempt when its chain swallowed the whole initial
+    chain."""
+    if s != pair.s and s != pair.t:
+        return _cross(rec, pair, system, s), None
+    nrec = _append_own(rec, pair, s)
+    if pair.unbounded:
+        return nrec, None
+    assert isinstance(nrec, FinitePairState)
+    if len(nrec.cc) > pair.m - 1:
+        raise InternalError(f"chain for pair {pair} exceeded length {pair.m - 1}")
+    if len(nrec.ic) > pair.m - 1:
+        raise InternalError(
+            f"initial chain for pair {pair} exceeded length {pair.m - 1}"
+        )
+    if len(nrec.cc) < pair.m - 1:
+        return nrec, None
+    other = pair.t if s == pair.s else pair.s
+    return nrec, (other, s, nrec.shared() == len(nrec.ic))
+
+
 def transition(
     system: CoxeterSystem,
     tracked: tuple[TrackedPair, ...],
     q: State,
     s: int,
 ) -> State | None:
-    """Successor state, or None for the sink.  A braid watch armed here is
-    exempt when its chain swallowed the whole initial chain."""
+    """Successor state, or None for the sink."""
     if not (q.e >> s) & 1:
         return None
     for f, _, _ in q.eprime:
@@ -207,24 +229,10 @@ def transition(
     new_pairs = []
     armed: list[tuple[int, int, bool]] = []
     for pair, rec in zip(tracked, q.pairs):
-        if s == pair.s or s == pair.t:
-            nrec = _append_own(rec, pair, s)
-            if not pair.unbounded:
-                assert isinstance(nrec, FinitePairState)
-                if len(nrec.cc) > pair.m - 1:
-                    raise InternalError(
-                        f"chain for pair {pair} exceeded length {pair.m - 1}"
-                    )
-                if len(nrec.ic) > pair.m - 1:
-                    raise InternalError(
-                        f"initial chain for pair {pair} exceeded length {pair.m - 1}"
-                    )
-                if len(nrec.cc) == pair.m - 1:
-                    other = pair.t if s == pair.s else pair.s
-                    armed.append((other, s, nrec.shared() == len(nrec.ic)))
-        else:
-            nrec = _cross(rec, pair, system, s)
+        nrec, watch = _pair_step(system, pair, rec, s)
         new_pairs.append(nrec)
+        if watch is not None:
+            armed.append(watch)
     eprime = frozenset(
         p for p in q.eprime if system.commutes(p[0], s)
     ) | frozenset(armed)
@@ -266,7 +274,7 @@ def state_debug_dict(system: CoxeterSystem, tracked, q: State) -> dict:
 
 
 def _survives_all_rotations(
-    delta: list[list[int]], sink: int, word: tuple[int, ...]
+    delta: list[tuple[int, ...]], sink: int, word: tuple[int, ...]
 ) -> bool:
     """True when re-reading the word from every cyclic starting point stays
     clear of the sink."""
@@ -286,56 +294,120 @@ def build(
 ) -> Dfa:
     """Breadth-first closure from the empty-word state.  State 0 is the
     start, state 1 the sink; the rest are numbered in discovery order.
+    The machine has at most state_budget states, the sink included.
 
     In fc mode every state but the sink accepts: the language is the
     reduced fully commutative words.  In cfc mode a state accepts iff the
     first word that reached it still avoids the sink when re-read from
-    every cyclic starting point (see the module docstring)."""
+    every cyclic starting point (see the module docstring).
+
+    The closure computes exactly what repeated `transition` calls would,
+    on an encoding of State: each pair's records are interned as small
+    ints, one table per pair, and the armed braid watches are bits of one
+    int.  A pair has few distinct records, so `_pair_step` runs once per
+    (record, letter) and its result is reused; letters that commute with
+    both members of a pair leave its record alone and skip it."""
     if mode not in ("cfc", "fc"):
         raise ValueError(f"mode must be 'cfc' or 'fc', not {mode!r}")
     tracked = system.tracked_pairs()
-    start = initial_state(system, tracked)
-    queue = deque([start])
+    rank = system.rank
+    letters = system.generators
+
+    # every watch a finite pair can arm, as one bit each
+    watch_bits: dict[tuple[int, int, bool], int] = {}
+    for pair in tracked:
+        if not pair.unbounded:
+            for sec, other in ((pair.s, pair.t), (pair.t, pair.s)):
+                for exempt in (False, True):
+                    watch_bits[(other, sec, exempt)] = 1 << len(watch_bits)
+    fires = [0] * rank  # watches that send s to the sink
+    keeps = [0] * rank  # watches that stay armed after reading s
+    for (f, _, _), bit in watch_bits.items():
+        fires[f] |= bit
+        for s in letters:
+            if system.commutes(f, s):
+                keeps[s] |= bit
+    clear = [~(1 << s) for s in letters]
+    grow = [sum(1 << t for t in system.non_commuting(s)) for s in letters]
+
+    records = [[rec] for rec in initial_state(system, tracked).pairs]
+    record_ids = [{recs[0]: 0} for recs in records]
+    # memo[p][record id][s]: (successor record id, armed watch bit or 0)
+    memo = [[[None] * rank] for _ in tracked]
+
+    def step(p: int, rid: int, s: int) -> tuple[int, int]:
+        nrec, watch = _pair_step(system, tracked[p], records[p][rid], s)
+        nrid = record_ids[p].get(nrec)
+        if nrid is None:
+            nrid = record_ids[p][nrec] = len(records[p])
+            records[p].append(nrec)
+            memo[p].append([None] * rank)
+        return nrid, 0 if watch is None else watch_bits[watch]
+
+    # (key position, pair index, memo table) of the pairs s can change
+    touched = [
+        [
+            (p + 2, p, memo[p])
+            for p, pair in enumerate(tracked)
+            if not (system.commutes(pair.s, s) and system.commutes(pair.t, s))
+        ]
+        for s in letters
+    ]
+
+    # a state's key is (e, watch bits, record id of each pair)
+    start = ((1 << rank) - 1, 0) + (0,) * len(tracked)
     sink = 1  # reserved before any discovery so builds are reproducible
-    numbered: dict[State, int] = {start: 0}
+    sink_row = (sink,) * rank
+    keys: list[tuple[int, ...] | None] = [start, None]
+    numbered = {start: 0}
     witnesses: dict[int, tuple[int, ...]] = {0: ()}
-    next_id = 2
-    table: dict[int, list[int]] = {}
-    while queue:
-        q = queue.popleft()
-        qid = numbered[q]
+    delta: list[tuple[int, ...]] = []
+    for qid, key in enumerate(keys):  # keys grows as states are found
+        if key is None:
+            delta.append(sink_row)
+            continue
+        e, w = key[0], key[1]
         row = []
-        for s in system.generators:
-            r = transition(system, tracked, q, s)
-            if r is None:
+        for s in letters:
+            if not (e >> s) & 1 or w & fires[s]:
                 row.append(sink)
                 continue
-            if r not in numbered:
-                if next_id > state_budget:
+            nxt = list(key)
+            nxt[0] = (e & clear[s]) | grow[s]
+            armed = w & keeps[s]
+            for i, p, table in touched[s]:
+                cell = table[key[i]]
+                hit = cell[s]
+                if hit is None:
+                    hit = cell[s] = step(p, key[i], s)
+                nxt[i] = hit[0]
+                armed |= hit[1]
+            nxt[1] = armed
+            r = tuple(nxt)
+            rid = numbered.get(r)
+            if rid is None:
+                rid = len(keys)
+                if rid >= state_budget:
                     raise BudgetError(
                         f"state budget {state_budget} exceeded while building"
                     )
-                numbered[r] = next_id
-                witnesses[next_id] = witnesses[qid] + (s,)
-                next_id += 1
-                queue.append(r)
-            row.append(numbered[r])
-        table[qid] = row
-    n = next_id
-    full = [[sink] * system.rank for _ in range(n)]
-    for qid, row in table.items():
-        full[qid] = row
+                numbered[r] = rid
+                keys.append(r)
+                witnesses[rid] = witnesses[qid] + (s,)
+            row.append(rid)
+        delta.append(tuple(row))
+    n = len(keys)
     if mode == "fc":
         finals = set(range(n)) - {sink}
     else:
         finals = {
             qid
             for qid, word in witnesses.items()
-            if _survives_all_rotations(full, sink, word)
+            if _survives_all_rotations(delta, sink, word)
         }
     return Dfa(
-        alphabet_size=system.rank,
-        delta=tuple(tuple(r) for r in full),
+        alphabet_size=rank,
+        delta=tuple(delta),
         initial=0,
         finals=frozenset(finals),
         dead=sink,

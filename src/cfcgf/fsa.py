@@ -75,7 +75,21 @@ class Dfa:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The text of json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) plus a newline.  It is written out by hand because
+        with indent set CPython falls back to its pure-Python encoder,
+        which is slow on large transition tables."""
+        fields = (  # in sorted key order
+            ("alphabet", _json_array([json.dumps(x) for x in self.letter_names], 2)),
+            ("dead", json.dumps(self.dead)),
+            ("delta", _json_array(
+                [_json_array([str(r) for r in row], 4) for row in self.delta], 2
+            )),
+            ("finals", _json_array([str(q) for q in sorted(self.finals)], 2)),
+            ("initial", str(self.initial)),
+            ("states", str(self.num_states)),
+        )
+        return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
 
     @staticmethod
     def from_json_dict(doc: dict) -> "Dfa":
@@ -121,6 +135,15 @@ class Dfa:
                 lines.append(f"  q{q} -> q{r} [label=\"{label}\"];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _json_array(items: list[str], indent: int) -> str:
+    """A JSON array of already encoded items, laid out as json.dumps does
+    with indent=2 when the array sits at the given depth in spaces."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 def coreachable(dfa: Dfa) -> set[int]:

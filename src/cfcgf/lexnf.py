@@ -48,7 +48,10 @@ def is_lex_least(word: tuple[int, ...], system: CoxeterSystem) -> bool:
 def build(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Complete DFA over the generator alphabet; every surviving word is
     the least member of its commutation class and every class is hit
-    exactly once.  State 0 is the start, state 1 the dead state."""
+    exactly once.  State 0 is the start, state 1 the dead state.  The
+    machine has at most state_budget states, the dead state included."""
+    if state_budget < 2:  # the start and the dead state
+        raise BudgetError(f"state budget {state_budget} exceeded while building")
     start = (0,) * system.rank
     dead = 1
     numbered: dict[tuple[int, ...], int] = {start: 0}
@@ -69,7 +72,7 @@ def build(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> Df
                 for a in system.generators
             )
             if r not in numbered:
-                if next_id > state_budget:
+                if next_id >= state_budget:
                     raise BudgetError(
                         f"state budget {state_budget} exceeded while building"
                     )

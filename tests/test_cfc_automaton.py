@@ -23,6 +23,9 @@ INF_TRIANGLE = parse_system(
 # finite and infinite labels meeting at one generator; braids here can close
 # around the word's ends through letters commuting with only one chain end
 MIXED_EDGE = parse_system('{"matrix": [[1, 3, 2], [3, 1, "inf"], [2, "inf", 1]]}')
+TRIANGLE_4_INF_2 = parse_system(
+    '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}'
+)
 
 # discovery-order builds are reproducible, so the census is a stable artifact
 EXPECTED_STATES = {
@@ -289,6 +292,69 @@ def test_wrong_words_of_the_rank_6_cycle_found_on_live_prefixes():
 def test_state_budget_is_enforced():
     with pytest.raises(BudgetError):
         build(preset_system("B3"), state_budget=5)
+
+
+@pytest.mark.parametrize("mode", ["cfc", "fc"])
+def test_state_budget_counts_every_state(mode):
+    # B3 needs 25 states, the sink among them
+    assert build(preset_system("B3"), mode, state_budget=25).num_states == 25
+    with pytest.raises(BudgetError):
+        build(preset_system("B3"), mode, state_budget=24)
+
+
+def _closure_over_transition(system, mode):
+    """Reference for `build`: the same closure, one `transition` call per
+    state and letter, with the same numbering and acceptance rule."""
+    tracked = system.tracked_pairs()
+    start = initial_state(system, tracked)
+    numbered = {start: 0}
+    order = [start, None]  # id 1 is the sink
+    words = {0: ()}
+    delta = []
+    for qid, q in enumerate(order):
+        if q is None:
+            delta.append((1,) * system.rank)
+            continue
+        row = []
+        for s in system.generators:
+            r = transition(system, tracked, q, s)
+            if r is None:
+                row.append(1)
+                continue
+            if r not in numbered:
+                numbered[r] = len(order)
+                words[len(order)] = words[qid] + (s,)
+                order.append(r)
+            row.append(numbered[r])
+        delta.append(tuple(row))
+
+    def survives(word):
+        for rotated in cyclic_shifts(word):
+            q = 0
+            for s in rotated:
+                q = delta[q][s]
+            if q == 1:
+                return False
+        return True
+
+    if mode == "fc":
+        finals = set(range(len(order))) - {1}
+    else:
+        finals = {qid for qid, word in words.items() if survives(word)}
+    return tuple(delta), frozenset(finals)
+
+
+@pytest.mark.parametrize("mode", ["cfc", "fc"])
+@pytest.mark.parametrize(
+    "system",
+    [preset_system(n) for n in ("tA4", "tA5", "A6", "B5", "D5", "I2:inf")]
+    + [INF_TRIANGLE, TRIANGLE_4_INF_2, MIXED_EDGE],
+    ids=["tA4", "tA5", "A6", "B5", "D5", "I2:inf", "inf-triangle",
+         "4-inf-2-triangle", "mixed-edge"],
+)
+def test_build_equals_the_closure_over_transition(system, mode):
+    a = build(system, mode)
+    assert (a.delta, a.finals) == _closure_over_transition(system, mode)
 
 
 def test_rejects_bad_mode():

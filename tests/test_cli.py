@@ -7,6 +7,7 @@ import pytest
 from cfcgf import cfc_automaton, fsa, lexnf
 from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
+from cfcgf.errors import InternalError
 
 
 def run(capsys, *argv):
@@ -79,6 +80,19 @@ def test_tiny_state_budget_exits_3(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_broken_pair_rule_exits_4(capsys, monkeypatch):
+    # the builder reuses each pair's step, but every step still goes
+    # through the pair rule, and its errors reach the command line
+    def broken(rec, pair, s):
+        raise InternalError(f"broken rule for pair {pair}")
+
+    monkeypatch.setattr(cfc_automaton, "_append_own", broken)
+    code, out, err = run(capsys, "automaton", "--system", "A3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_missing_required_argument_exits_2(capsys):

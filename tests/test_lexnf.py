@@ -7,6 +7,7 @@ import pytest
 
 from cfcgf import fsa, lexnf
 from cfcgf.core import parse_system, preset_system
+from cfcgf.errors import BudgetError
 from cfcgf.oracle import commutation_class
 
 SYSTEMS = ["A3", "B3", "D4", "I2:5", "tA1", "tA2"]
@@ -60,6 +61,17 @@ def test_state_counts_frozen():
     assert lexnf.build(preset_system("tA1")).num_states == 2
     assert lexnf.build(preset_system("D4")).num_states == 8
     assert lexnf.build(preset_system("I2:5")).num_states == 2
+
+
+def test_state_budget_counts_every_state():
+    # B3 needs 4 states, the dead state among them; tA1 needs only the
+    # start and the dead state
+    assert lexnf.build(preset_system("B3"), state_budget=4).num_states == 4
+    with pytest.raises(BudgetError):
+        lexnf.build(preset_system("B3"), state_budget=3)
+    assert lexnf.build(preset_system("tA1"), state_budget=2).num_states == 2
+    with pytest.raises(BudgetError):
+        lexnf.build(preset_system("tA1"), state_budget=1)
 
 
 def test_builds_are_reproducible():
