@@ -1,8 +1,8 @@
 """Command line front end.
 
 Commands: automaton, series, genfun, oracle, verify.  Exit codes: 0 ok,
-1 verification mismatch, 2 invalid input, 3 budget exceeded, 4 internal
-invariant violation.
+1 verification mismatch, 2 invalid input, 3 budget exceeded or out of
+memory, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -30,11 +30,7 @@ def _load_system(source: str) -> CoxeterSystem:
 def _build_stage(system: CoxeterSystem, args) -> fsa.Dfa:
     if args.stage == "lexnf":
         return lexnf.build(system, state_budget=args.state_budget)
-    mode = "fc" if args.stage == "fc" else "cfc"
-    a = cfc_automaton.build(system, mode=mode, state_budget=args.state_budget)
-    if args.stage == "pipeline":
-        a = fsa.intersect(a, lexnf.build(system, state_budget=args.state_budget))
-    return a
+    return cfc_automaton.build(system, args.stage, args.state_budget)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -227,6 +223,10 @@ def main(argv=None) -> int:
         return 2
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; a smaller --state-budget stops sooner",
+              file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the command line front end:
-InputError -> 2, BudgetError -> 3, InternalError -> 4.
+InputError -> 2, BudgetError -> 3 (and MemoryError), InternalError -> 4.
 """
 
 

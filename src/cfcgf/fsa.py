@@ -11,10 +11,12 @@ their output deterministic and therefore byte-for-byte reproducible.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 Word = tuple[int, ...]
 
@@ -262,18 +264,27 @@ def trim(dfa: Dfa) -> Dfa:
 def minimize(dfa: Dfa) -> Dfa:
     """Hopcroft partition refinement on the reachable part.  Output states
     are numbered by breadth-first discovery, so equal inputs give equal
-    outputs."""
+    outputs.  Each letter's transitions, and their reverse (sources sorted
+    by target, with offsets), are kept as flat arrays rather than as
+    lists per state, which would take most of the memory."""
     order = _bfs_order(dfa.delta, dfa.initial)
-    ids = {q: i for i, q in enumerate(order)}
+    ids = [-1] * dfa.num_states
+    for i, q in enumerate(order):
+        ids[q] = i
     n = len(order)
     k = dfa.alphabet_size
-    delta = [[ids[dfa.delta[q][c]] for c in range(k)] for q in order]
-    finals = {ids[q] for q in dfa.finals if q in ids}
+    cols = [array("I", [ids[dfa.delta[q][c]] for q in order]) for c in range(k)]
+    finals = {ids[q] for q in dfa.finals if ids[q] >= 0}
 
-    rev: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
-    for q in range(n):
-        for c in range(k):
-            rev[c][delta[q][c]].append(q)
+    rev: list[tuple[array, array]] = []  # sources by target, offsets
+    for col in cols:
+        starts = [0] * (n + 1)
+        for r in col:
+            starts[r + 1] += 1
+        rev.append((
+            array("I", sorted(range(n), key=col.__getitem__)),
+            array("I", accumulate(starts)),
+        ))
 
     block_of = [0] * n
     blocks: list[set[int]] = []
@@ -286,9 +297,10 @@ def minimize(dfa: Dfa) -> Dfa:
     worklist = {(i, c) for i in range(len(blocks)) for c in range(k)}
     while worklist:
         i, c = worklist.pop()
+        sources, starts = rev[c]
         preimage: dict[int, set[int]] = {}
         for q in blocks[i]:
-            for p in rev[c][q]:
+            for p in sources[starts[q]:starts[q + 1]]:
                 preimage.setdefault(block_of[p], set()).add(p)
         for j, hit in preimage.items():
             if len(hit) == len(blocks[j]):
@@ -306,7 +318,7 @@ def minimize(dfa: Dfa) -> Dfa:
                     worklist.add((smaller, cc))
 
     rep_delta = {
-        b: [block_of[delta[next(iter(blocks[b]))][c]] for c in range(k)]
+        b: [block_of[col[next(iter(blocks[b]))]] for col in cols]
         for b in range(len(blocks))
     }
     start_block = block_of[0]
@@ -326,6 +338,164 @@ def minimize(dfa: Dfa) -> Dfa:
     )
     result = Dfa(k, new_delta, 0, new_finals, None, dfa.letter_names)
     return _with_semantic_dead(result)
+
+
+def explore(start, step, alphabet_size: int, state_budget: int):
+    """Breadth-first closure of step from start, where step(q, c) is the
+    successor of state q on letter c, or None for the sink.  Returns the
+    states, numbered in discovery order with the start at 0 and the sink
+    (None) at 1, and their transition table.  At most state_budget states
+    are allowed, the sink included."""
+    if state_budget < 2:  # the start and the sink
+        raise BudgetError(f"state budget {state_budget} exceeded while building")
+    states = [start, None]
+    numbered = {start: 0}
+    delta: list[tuple[int, ...]] = []
+    for q in states:  # grows as states are found
+        if q is None:
+            delta.append((1,) * alphabet_size)
+            continue
+        row = []
+        for c in range(alphabet_size):
+            r = step(q, c)
+            rid = 1 if r is None else numbered.get(r)
+            if rid is None:
+                rid = len(states)
+                if rid >= state_budget:
+                    raise BudgetError(
+                        f"state budget {state_budget} exceeded while building"
+                    )
+                numbered[r] = rid
+                states.append(r)
+            row.append(rid)
+        delta.append(tuple(row))
+    return states, tuple(delta)
+
+
+def rotation_closure(
+    a: Dfa, guide: Dfa | None = None, state_budget: int = 10**7
+) -> Dfa:
+    """Automaton for {w : every rotation of w is in L(a)}, intersected with
+    L(guide) when a guide is given; only words the guide keeps are
+    explored.  a must accept exactly the words that avoid its dead state,
+    as a prefix-closed machine does.
+
+    A state is (T, M, g) for the word w read so far.  T is the
+    transformation x -> delta(x, w) on the states x it keeps alive.  M has
+    one entry per split w = uv: r = delta(q0, v), with S the set of states
+    from which u stays alive; entries with equal r move together from then
+    on and are merged by intersecting their S.  g is the guide's state.
+    The rotation vu is in L(a) iff r is in S, so a state accepts iff every
+    entry has r in S and g accepts.  Reading c moves every r to
+    delta(r, c) and adds the entry (q0, alive(T_wc)); the result is the
+    sink when wc leaves L(a), some r is dead, or the guide cannot accept.
+
+    T is packed as its domain then its images, interned as a small int,
+    and stepped once per letter; each S is an interned bitmask, and M is
+    packed as sorted (r, S id) pairs.  State 0 is the start, state 1 the
+    sink, the rest are numbered in discovery order; at most state_budget
+    states."""
+    n, k = a.num_states, a.alphabet_size
+    dead = -1 if a.dead is None else a.dead
+    if a.finals != frozenset(range(n)) - {dead} or any(
+        r != dead for r in (a.delta[dead] if dead >= 0 else ())
+    ):
+        raise InputError("rotation_closure needs a machine whose only "
+                         "rejecting state is its dead state")
+    if guide is None:
+        guide = Dfa(k, ((0,) * k,), 0, frozenset({0}))
+    elif guide.alphabet_size != k:
+        raise InputError("cannot guide over a different alphabet")
+    g_live = coreachable(guide)
+    cols = [[row[c] for row in a.delta] for c in range(k)]
+    q0 = a.initial
+
+    t_packed: list[bytes] = []  # T id -> x0 = q0, x1, ..., T(x0), T(x1), ...
+    t_ids: dict[bytes, int] = {}
+    t_head: list[int] = []  # T id -> T(q0), or dead
+    t_alive: list[int] = []  # T id -> S id of its domain
+    t_next: list[list[int | None]] = []  # T id, letter -> T id, -1 if dead
+    s_masks: list[int] = []
+    s_ids: dict[int, int] = {}
+    domains: dict[bytes, int] = {}  # packed domain -> S id
+
+    def s_id(mask: int) -> int:
+        sid = s_ids.get(mask)
+        if sid is None:
+            sid = s_ids[mask] = len(s_masks)
+            s_masks.append(mask)
+        return sid
+
+    def t_id(xs: list[int], ys: list[int]) -> int:
+        domain = array("I", xs).tobytes()
+        key = domain + array("I", ys).tobytes()
+        tid = t_ids.get(key)
+        if tid is None:
+            tid = t_ids[key] = len(t_packed)
+            t_packed.append(key)
+            t_head.append(ys[0] if xs and xs[0] == q0 else dead)
+            sid = domains.get(domain)
+            if sid is None:  # many T share a domain; a bitmask costs more
+                sid = domains[domain] = s_id(sum(map((1).__lshift__, xs)))
+            t_alive.append(sid)
+            t_next.append([None] * k)
+        return tid
+
+    def t_step(tid: int, c: int) -> int:
+        col = cols[c]
+        nxt = -1
+        if col[t_head[tid]] != dead:
+            packed = array("I", t_packed[tid])
+            half = len(packed) // 2
+            ys = [col[y] for y in packed[half:]]
+            alive = [y != dead for y in ys]
+            nxt = t_id(list(compress(packed[:half], alive)),
+                       list(compress(ys, alive)))
+        t_next[tid][c] = nxt
+        return nxt
+
+    def m_pack(entries: dict[int, int]) -> bytes:
+        flat = [v for r in sorted(entries) for v in (r, entries[r])]
+        return array("I", flat).tobytes()
+
+    def m_step(m: bytes, c: int, sid: int) -> bytes | None:
+        flat = array("I", m)
+        col = cols[c]
+        entries = {q0: sid}
+        for i in range(0, len(flat), 2):
+            r, rs = col[flat[i]], flat[i + 1]
+            if r == dead:
+                return None
+            if r in entries and entries[r] != rs:
+                rs = s_id(s_masks[entries[r]] & s_masks[rs])
+            entries[r] = rs
+        return m_pack(entries)
+
+    def step(key: tuple[int, bytes, int], c: int):
+        tid, m, g = key
+        g = guide.delta[g][c]
+        if g not in g_live:
+            return None
+        t = t_next[tid][c]
+        if t is None:
+            t = t_step(tid, c)
+        m = None if t < 0 else m_step(m, c, t_alive[t])
+        return None if m is None else (t, m, g)
+
+    def accepts(key: tuple[int, bytes, int] | None) -> bool:
+        if key is None or key[2] not in guide.finals:
+            return False
+        flat = array("I", key[1])
+        return all(s_masks[flat[i + 1]] >> flat[i] & 1
+                   for i in range(0, len(flat), 2))
+
+    domain = sorted(set(range(n)) - {dead}, key=lambda x: x != q0)
+    t0 = t_id(domain, domain)
+    keys, delta = explore(
+        (t0, m_pack({q0: t_alive[t0]}), guide.initial), step, k, state_budget
+    )
+    finals = frozenset(i for i, key in enumerate(keys) if accepts(key))
+    return Dfa(k, delta, 0, finals, 1, a.letter_names)
 
 
 def _shortest_pair_word(a: Dfa, b: Dfa, hit) -> Word | None:

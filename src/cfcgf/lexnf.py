@@ -13,11 +13,8 @@ by product.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .core import CoxeterSystem
-from .errors import BudgetError
-from .fsa import Dfa
+from .fsa import Dfa, explore
 
 DEFAULT_STATE_BUDGET = 10**7
 
@@ -50,46 +47,22 @@ def build(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> Df
     the least member of its commutation class and every class is hit
     exactly once.  State 0 is the start, state 1 the dead state.  The
     machine has at most state_budget states, the dead state included."""
-    if state_budget < 2:  # the start and the dead state
-        raise BudgetError(f"state budget {state_budget} exceeded while building")
-    start = (0,) * system.rank
-    dead = 1
-    numbered: dict[tuple[int, ...], int] = {start: 0}
-    queue = deque([start])
-    next_id = 2
-    table: dict[int, list[int]] = {}
     above = [~((2 << a) - 1) for a in system.generators]  # letters > a
-    while queue:
-        q = queue.popleft()
-        qid = numbered[q]
-        row = []
-        for c in system.generators:
-            if q[c] & above[c]:
-                row.append(dead)
-                continue
-            r = tuple(
-                (q[a] | (1 << c)) if system.commutes(a, c) else 0
-                for a in system.generators
-            )
-            if r not in numbered:
-                if next_id >= state_budget:
-                    raise BudgetError(
-                        f"state budget {state_budget} exceeded while building"
-                    )
-                numbered[r] = next_id
-                next_id += 1
-                queue.append(r)
-            row.append(numbered[r])
-        table[qid] = row
-    n = next_id
-    full = [[dead] * system.rank for _ in range(n)]
-    for qid, row in table.items():
-        full[qid] = row
+
+    def step(q: tuple[int, ...], c: int) -> tuple[int, ...] | None:
+        if q[c] & above[c]:
+            return None
+        return tuple(
+            (q[a] | (1 << c)) if system.commutes(a, c) else 0
+            for a in system.generators
+        )
+
+    states, delta = explore((0,) * system.rank, step, system.rank, state_budget)
     return Dfa(
         alphabet_size=system.rank,
-        delta=tuple(tuple(r) for r in full),
+        delta=delta,
         initial=0,
-        finals=frozenset(range(n)) - {dead},
-        dead=dead,
+        finals=frozenset(range(len(states))) - {1},
+        dead=1,
         letter_names=system.names,
     )

@@ -36,9 +36,12 @@ def suite_system(name):
 
 
 def pipeline(system, mode="cfc"):
-    return fsa.intersect(
-        cfc_automaton.build(system, mode=mode), lexnf.build(system)
-    )
+    """One word per element: the shipped pipeline, or in fc mode the
+    linear recognizer cut to normal forms, which checks no cyclic
+    condition."""
+    if mode == "cfc":
+        return cfc_automaton.build(system, "pipeline")
+    return fsa.intersect(cfc_automaton.build(system, "fc"), lexnf.build(system))
 
 
 def verdict(capsys, label, ok, detail=""):
@@ -257,49 +260,66 @@ def test_06_structural_properties(capsys):
     assert not failures, failures
 
 
-def _has_braid_factor(v, f, sec, m):
-    pair = {f, sec}
-    for i in range(len(v) - m + 1):
-        window = v[i:i + m]
-        if all(x in pair for x in window) and all(
+def _braid_pairs(v, pair):
+    """True when v has an alternating factor of length m over the pair."""
+    for i in range(len(v) - pair.m + 1):
+        window = v[i:i + pair.m]
+        if set(window) <= {pair.s, pair.t} and all(
             a != b for a, b in zip(window, window[1:])
         ):
             return True
     return False
 
 
+def _end_chain(v, pair):
+    """(last letter, length) of the longest alternating run of the pair's
+    letters that ends v."""
+    n = 0
+    while n < len(v) and v[-1 - n] in (pair.s, pair.t) and (
+        n == 0 or v[-1 - n] != v[-n]
+    ):
+        n += 1
+    return (v[-1], n) if n else cfc_automaton.EMPTY_CHAIN
+
+
 def test_07_state_components_mean_what_they_say(capsys):
-    """The set of legal next letters and the braid watch list both admit
-    word-level readings; check them against brute force on every word that
-    does not die in the automaton."""
+    """The legal-letter mask, the watch mask and the chains of the linear
+    recognizer all admit word-level readings; check them against brute
+    force on every word that does not die in the automaton."""
     failures = []
-    for name in ("A2", "A3", "B2", "I2:5"):
+    for name in ("A2", "A3", "B2", "B3", "I2:5", "tA2"):
         system = suite_system(name)
-        tracked = system.tracked_pairs()
-        for n in range(9):
+        pairs = cfc_automaton.finite_pairs(system)
+        for n in range(9 if system.rank <= 3 else 7):
             for w in product(system.generators, repeat=n):
-                q = cfc_automaton.initial_state(system, tracked)
+                q = cfc_automaton.initial_state(system)
                 for s in w:
-                    q = cfc_automaton.transition(system, tracked, q, s)
+                    q = cfc_automaton.transition(system, pairs, q, s)
                     if q is None:
                         break
                 if q is None:
                     continue
+                e, watch, chains = q
                 cls = commutation_class(system, w)
                 for s in system.generators:
-                    legal = bool((q.e >> s) & 1)
+                    legal = bool((e >> s) & 1)
                     blocked = any(v and v[-1] == s for v in cls)
                     if legal == blocked:
                         failures.append((name, w, "legal-letter set", s))
-                watched = {(f, sec) for f, sec, _ in q.eprime}
-                for pair in tracked:
-                    for f, sec in ((pair.s, pair.t), (pair.t, pair.s)):
-                        completes = any(
-                            _has_braid_factor(v, f, sec, pair.m)
-                            for v in commutation_class(system, w + (f,))
-                        )
-                        if ((f, sec) in watched) != completes:
-                            failures.append((name, w, "braid watch", (f, sec)))
+                    watched = bool((watch >> s) & 1)
+                    completes = any(
+                        _braid_pairs(v, pair)
+                        for v in commutation_class(system, w + (s,))
+                        for pair in pairs
+                    )
+                    if watched != completes:
+                        failures.append((name, w, "braid watch", s))
+                for pair, chain in zip(pairs, chains):
+                    longest = max(
+                        (_end_chain(v, pair) for v in cls), key=lambda c: c[1]
+                    )
+                    if chain != longest:
+                        failures.append((name, w, "chain", pair, chain))
         if failures:
             break
     verdict(capsys, "state semantics vs brute force", not failures)
@@ -321,3 +341,18 @@ def test_08_broken_variants_are_caught_by_verification(capsys):
     )
     verdict(capsys, "regression hooks", ok)
     assert ok, found
+
+
+def test_09_guided_closure_equals_the_cut_closure(capsys):
+    """Exploring only normal forms changes nothing: the pipeline, the
+    rotation closure guided by the normal-form acceptor, accepts exactly
+    the normal forms that the unguided closure accepts."""
+    failures = []
+    for name in SUITE:
+        system = suite_system(name)
+        cut = fsa.intersect(cfc_automaton.build(system), lexnf.build(system))
+        witness = fsa.difference_witness(pipeline(system), cut)
+        if witness is not None:
+            failures.append((name, witness))
+    verdict(capsys, "guided closure vs cut closure", not failures)
+    assert not failures, failures

@@ -1,21 +1,24 @@
 """Recognizer for reduced expressions of cyclically fully commutative
 elements, checked word-for-word against the brute-force oracle."""
 
+import functools
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfcgf import fsa, lexnf
+from cfcgf import fsa, genfun, lexnf
 from cfcgf.cfc_automaton import (
+    EMPTY_CHAIN,
     build,
+    finite_pairs,
     initial_state,
-    state_debug_dict,
     transition,
 )
 from cfcgf.core import CoxeterSystem, INF, cyclic_shifts, parse_system, preset_system
 from cfcgf.errors import BudgetError
-from cfcgf.oracle import is_cfc, is_reduced_fc
+from cfcgf.genfun import RationalGF
+from cfcgf.oracle import count_elements, is_cfc, is_reduced_fc
 
 INF_TRIANGLE = parse_system(
     '{"matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]]}'
@@ -27,29 +30,30 @@ TRIANGLE_4_INF_2 = parse_system(
     '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}'
 )
 
-# discovery-order builds are reproducible, so the census is a stable artifact
+# discovery-order builds are reproducible, so the census is a stable
+# artifact: raw states of the rotation closure, its sink included
 EXPECTED_STATES = {
     "A1": 3,
     "A2": 6,
-    "A3": 15,
-    "A4": 43,
+    "A3": 19,
+    "A4": 100,
     "B2": 8,
-    "B3": 25,
-    "B4": 84,
-    "D4": 49,
+    "B3": 34,
+    "B4": 246,
+    "D4": 96,
     "I2:5": 10,
     "I2:6": 12,
     "I2:7": 14,
     "tA1": 8,
-    "tA2": 29,
-    "tA3": 104,
+    "tA2": 35,
+    "tA3": 178,
 }
 
 
 def test_state_census_frozen():
     for name, expected in EXPECTED_STATES.items():
         assert build(preset_system(name)).num_states == expected, name
-    assert build(INF_TRIANGLE).num_states == 161
+    assert build(INF_TRIANGLE).num_states == 14
 
 
 def test_builds_are_reproducible():
@@ -76,15 +80,10 @@ def test_a2_language_is_exactly_five_words():
 
 
 def test_a2_state_after_one_letter():
+    # only 1 may follow; no watch; the chain of the pair {0,1} is "0"
     system = preset_system("A2")
-    tracked = system.tracked_pairs()
-    q = transition(system, tracked, initial_state(system, tracked), 0)
-    assert q is not None
-    assert state_debug_dict(system, tracked, q) == {
-        "e": ["1"],
-        "eprime": [],
-        "pairs": {"0-1": {"cc": ["_0"], "ic": ["0"], "b": [True, True]}},
-    }
+    q = transition(system, finite_pairs(system), initial_state(system), 0)
+    assert q == (0b10, 0, ((0, 1),))
 
 
 def test_a2_accepts_01():
@@ -93,10 +92,9 @@ def test_a2_accepts_01():
 
 def test_i25_rejects_010_without_sinking():
     system = preset_system("I2:5")
-    tracked = system.tracked_pairs()
-    q = initial_state(system, tracked)
+    q = initial_state(system)
     for s in (0, 1, 0):
-        q = transition(system, tracked, q, s)
+        q = transition(system, finite_pairs(system), q, s)
         assert q is not None
     assert not build(system).accepts((0, 1, 0))
 
@@ -154,70 +152,64 @@ def test_accepted_language_is_rotation_closed():
 
 
 def _reachable_states(system, max_depth):
-    tracked = system.tracked_pairs()
-    seen = {initial_state(system, tracked)}
+    pairs = finite_pairs(system)
+    seen = {initial_state(system)}
     frontier = list(seen)
     for _ in range(max_depth):
         nxt = []
         for q in frontier:
             for s in system.generators:
-                r = transition(system, tracked, q, s)
+                r = transition(system, pairs, q, s)
                 if r is not None and r not in seen:
                     seen.add(r)
                     nxt.append(r)
         frontier = nxt
-    return tracked, seen
+    return pairs, seen
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "I2:5", "tA2", "tA3"])
 def test_chain_record_invariants(name):
     system = preset_system(name)
-    tracked, states = _reachable_states(system, 12)
-    for q in states:
-        for pair, rec in zip(tracked, q.pairs):
-            if pair.unbounded:
-                continue
-            marks = [u for _, u in rec.cc]
-            letters = [g for g, _ in rec.cc]
-            # underlines are a prefix of the chain and letters alternate
-            assert marks == sorted(marks, reverse=True)
-            assert all(a != b for a, b in zip(letters, letters[1:]))
-            assert all(a != b for a, b in zip(rec.ic, rec.ic[1:]))
-            assert len(rec.cc) <= pair.m - 1
-            assert len(rec.ic) <= pair.m - 1
-            # a live completion flag promises the whole chain moves to IC
-            if rec.b_s or rec.b_t:
-                assert all(marks)
-            shared = sum(1 for u in marks if u)
-            assert tuple(letters[:shared]) == rec.ic[len(rec.ic) - shared:]
+    pairs, states = _reachable_states(system, 12)
+    for e, watch, chains in states:
+        # a watched letter is legal: reading it is reduced but not FC
+        assert watch & ~e == 0
+        for pair, (last, n) in zip(pairs, chains):
+            assert 0 <= n <= pair.m - 1
+            assert (n == 0) == ((last, n) == EMPTY_CHAIN)
+            if n:
+                assert last in (pair.s, pair.t)
+                # the chain's last letter ends some word of the class
+                assert not (e >> last) & 1
+            if n == pair.m - 1:
+                other = pair.t if last == pair.s else pair.s
+                assert (watch >> other) & 1
 
 
 def _state_after(system, word):
-    tracked = system.tracked_pairs()
-    q = initial_state(system, tracked)
+    q = initial_state(system)
     for s in word:
-        q = transition(system, tracked, q, s)
+        q = transition(system, finite_pairs(system), q, s)
     return q
 
 
 def test_watch_flag_semantics_differ_from_marking_of_last_letter():
-    # 021 in A3: the completed chain swallowed the whole initial chain, so
-    # rotating its head away never yields a braid.  The watches the final,
-    # unmarked 1 arms are exempt, and the word is accepted.
+    # 021 in A3: both chains reach length 2 on the final 1, which arms
+    # watches on 0 and 2, so neither may follow; rotating the word's head
+    # away never yields a braid, and the word is accepted.
     system = preset_system("A3")
     assert is_cfc(system, (0, 2, 1))
-    assert _state_after(system, (0, 2, 1)).eprime == {(0, 1, True), (2, 1, True)}
+    assert _state_after(system, (0, 2, 1))[1] == 0b101
     assert build(system).accepts((0, 2, 1))
-    # same story one rank up
+    # same story one rank up, with one watch
     system = preset_system("A4")
     assert is_cfc(system, (1, 3, 0, 2))
-    assert _state_after(system, (1, 3, 0, 2)).eprime == {(3, 2, True)}
+    assert _state_after(system, (1, 3, 0, 2))[1] == 0b1000
     assert build(system).accepts((1, 3, 0, 2))
 
 
 def test_wrap_check_keeps_separated_chain_words():
-    # the cyclic closure only matters when the whole chain sits in IC;
-    # here the chain is split around interior letters and the word is fine
+    # no rotation of 0201 brings its two 0s together
     assert is_cfc(INF_TRIANGLE, (0, 2, 0, 1))
     assert build(INF_TRIANGLE).accepts((0, 2, 0, 1))
 
@@ -225,10 +217,11 @@ def test_wrap_check_keeps_separated_chain_words():
 def test_braid_closing_through_a_one_sided_commuter_is_rejected():
     # in the rank-4 path with labels 3,3,4 the final 2 of 01232 rotates to
     # the front, slides past the 0 (which commutes with 2 but not 1), and
-    # completes the braid 212; the chain records alone cannot see this
+    # completes the braid 212; the word itself is reduced and FC
     system = preset_system("B4")
     word = (0, 1, 2, 3, 2)
     assert not is_cfc(system, word)
+    assert build(system, "fc").accepts(word)
     assert not build(system).accepts(word)
     # same mechanism with an infinite label in the way
     for word in ((2, 1, 0, 2, 1, 2, 1, 0), (2, 1, 2, 0, 1, 2, 1, 0)):
@@ -252,41 +245,99 @@ def test_agrees_with_oracle_on_b4_exhaustively():
 
 
 def test_known_limit_of_the_bounded_summaries():
-    # with labels 4/inf/2 the words (2,1,0,1,2,1,0) [not cyclically fine]
-    # and (2,1,2,1,0,1,2,1,0) [cyclically fine] drive the automaton into
-    # the same state: the bounded summary for the infinite pair forgets how
-    # much of the front run lies beyond the blocked initial chain, so no
-    # acceptance rule over these states can get both words right.  The
-    # build keeps the conservative verdict; the verifier reports the
-    # disagreement rather than hiding it.
-    system = parse_system('{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}')
-    tracked = system.tracked_pairs()
+    # with labels 4/inf/2 an earlier builder drove the words
+    # (2,1,0,1,2,1,0) [not cyclically fine] and (2,1,2,1,0,1,2,1,0)
+    # [cyclically fine] into one state and rejected both.  The rotation
+    # closure keeps every split of the word, so it tells them apart.
     bad, good = (2, 1, 0, 1, 2, 1, 0), (2, 1, 2, 1, 0, 1, 2, 1, 0)
-    assert not is_cfc(system, bad) and is_cfc(system, good)
-    states = []
-    for word in (bad, good):
-        q = initial_state(system, tracked)
-        for s in word:
-            q = transition(system, tracked, q, s)
-        states.append(q)
-    assert states[0] == states[1]  # provably inseparable here
-    a = build(system)
-    assert not a.accepts(bad)  # the witness-first rule stays conservative
-    assert not a.accepts(good)  # ... at the documented cost of this word
+    assert not is_cfc(TRIANGLE_4_INF_2, bad) and is_cfc(TRIANGLE_4_INF_2, good)
+    for mode in ("cfc", "pipeline"):
+        a = build(TRIANGLE_4_INF_2, mode)
+        assert not a.accepts(bad)
+        assert a.accepts(good)
+
+
+# the six length-11 words an earlier tA5 pipeline accepted, although brute
+# force counts no CFC element of that length
+TA5_WRONG_WORDS = [
+    (0, 1, 2, 5, 0, 1, 4, 3, 2, 5, 4),
+    (1, 0, 2, 1, 3, 2, 5, 0, 4, 3, 5),
+    (2, 1, 0, 3, 2, 1, 4, 3, 5, 0, 4),
+    (3, 2, 1, 4, 3, 2, 5, 0, 1, 4, 5),
+    (4, 3, 2, 5, 0, 1, 4, 3, 2, 5, 0),
+    (5, 0, 1, 4, 3, 2, 5, 0, 1, 4, 3),
+]
 
 
 def test_wrong_words_of_the_rank_6_cycle_found_on_live_prefixes():
-    # the tA5 pipeline accepts six length-11 words although no CFC element
-    # of that length exists (brute force counts 0).  Trimmed, the pipeline
-    # has one dead state, so the witness search behind `verify` walks only
-    # prefixes of accepted words; on the raw product it walked all 6^11
-    # words and ran out of memory.
+    # the pipeline rejects them and accepts no word of length 11 at all.
+    # Trimmed, it has one dead state, so the witness search behind
+    # `verify` walks only prefixes of accepted words.
     system = preset_system("tA5")
-    a = fsa.trim(fsa.intersect(build(system), lexnf.build(system)))
-    wrong = [w for w in fsa.accepted_words(a, 11) if len(w) == 11]
-    assert len(wrong) == 6
-    assert (0, 1, 2, 5, 0, 1, 4, 3, 2, 5, 4) in wrong
-    assert not any(is_cfc(system, w) for w in wrong)
+    a = fsa.trim(build(system, "pipeline"))
+    assert not any(a.accepts(w) for w in TA5_WRONG_WORDS)
+    assert not [w for w in fsa.accepted_words(a, 11) if len(w) == 11]
+    assert not any(is_cfc(system, w) for w in TA5_WRONG_WORDS)
+
+
+@functools.cache
+def _pipeline(name):
+    return fsa.minimize(fsa.trim(build(preset_system(name), "pipeline")))
+
+
+# the shortest words an earlier pipeline wrongly accepted on the affine
+# cycles tA_n, each of length 2n+1.  oracle.is_cfc rejects them, but takes
+# seconds on the tA6 word and about a minute on the tA7 one, so those
+# verdicts run only with the slow marker
+AFFINE_WRONG_WORDS = {
+    "tA5": (0, 1, 2, 5, 0, 1, 4, 3, 2, 5, 4),
+    "tA6": (0, 1, 2, 3, 6, 0, 1, 2, 5, 4, 3, 6, 5),
+    "tA7": (0, 1, 2, 3, 4, 7, 0, 1, 2, 3, 6, 5, 4, 7, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_WRONG_WORDS))
+def test_pipeline_rejects_the_affine_defect_words(name):
+    assert not _pipeline(name).accepts(AFFINE_WRONG_WORDS[name])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["tA6", "tA7"])
+def test_affine_defect_words_are_not_cfc(name):
+    assert not is_cfc(preset_system(name), AFFINE_WRONG_WORDS[name])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_affine_cycle_counts_are_periodic(n):
+    # past length n+1 the CFC elements of tA_n come only at the multiples
+    # of n+1, always 2^(n+1) - 2 of them
+    counts = genfun.count_by_length(_pipeline(f"tA{n}"), 4 * (n + 1))
+    for length in range(n + 1, len(counts)):
+        want = 2 ** (n + 1) - 2 if length % (n + 1) == 0 else 0
+        assert counts[length] == want, length
+
+
+def test_exact_generating_function_of_the_rank_6_cycle():
+    gf = genfun.genfun_of_dfa(_pipeline("tA5"))
+    num = (1, 6, 21, 50, 84, 96, 61, -6, -21, -50, -84, -96)
+    assert gf == RationalGF(num, (1, 0, 0, 0, 0, 0, -1))
+
+
+def test_triangle_4_inf_2_counts_past_the_brute_force_suite():
+    # an earlier builder found 23, 48 and 81 here
+    counts = genfun.count_by_length(build(TRIANGLE_4_INF_2, "pipeline"), 12)
+    assert (counts[9], counts[11], counts[12]) == (24, 50, 82)
+
+
+def test_mixed_edge_counts_agree_with_brute_force():
+    # an earlier builder found 7 at length 10 and 14 at length 12
+    a = build(MIXED_EDGE, "pipeline")
+    counts = genfun.count_by_length(a, 12)
+    assert counts == count_elements(MIXED_EDGE, 12).counts()
+    assert (counts[10], counts[12]) == (8, 16)
+    witness = (2, 1, 2, 1, 0, 2, 1, 2, 1, 0)
+    assert is_cfc(MIXED_EDGE, witness)
+    assert a.accepts(witness)
 
 
 def test_state_budget_is_enforced():
@@ -296,52 +347,47 @@ def test_state_budget_is_enforced():
 
 @pytest.mark.parametrize("mode", ["cfc", "fc"])
 def test_state_budget_counts_every_state(mode):
-    # B3 needs 25 states, the sink among them
-    assert build(preset_system("B3"), mode, state_budget=25).num_states == 25
+    # B3 needs 34 states in cfc mode and 16 in fc mode, the sink among them
+    states = {"cfc": 34, "fc": 16}[mode]
+    assert build(preset_system("B3"), mode, state_budget=states).num_states == states
     with pytest.raises(BudgetError):
-        build(preset_system("B3"), mode, state_budget=24)
+        build(preset_system("B3"), mode, state_budget=states - 1)
 
 
-def _closure_over_transition(system, mode):
-    """Reference for `build`: the same closure, one `transition` call per
-    state and letter, with the same numbering and acceptance rule."""
-    tracked = system.tracked_pairs()
-    start = initial_state(system, tracked)
+def _closure_over_transition(system):
+    """Reference for the linear recognizer: a plain breadth-first closure,
+    one `transition` call per state and letter, with the same numbering."""
+    pairs = finite_pairs(system)
+    start = initial_state(system)
     numbered = {start: 0}
     order = [start, None]  # id 1 is the sink
-    words = {0: ()}
     delta = []
-    for qid, q in enumerate(order):
+    for q in order:
         if q is None:
             delta.append((1,) * system.rank)
             continue
         row = []
         for s in system.generators:
-            r = transition(system, tracked, q, s)
+            r = transition(system, pairs, q, s)
             if r is None:
                 row.append(1)
                 continue
             if r not in numbered:
                 numbered[r] = len(order)
-                words[len(order)] = words[qid] + (s,)
                 order.append(r)
             row.append(numbered[r])
         delta.append(tuple(row))
+    return tuple(delta), frozenset(range(len(order))) - {1}
 
-    def survives(word):
-        for rotated in cyclic_shifts(word):
-            q = 0
-            for s in rotated:
-                q = delta[q][s]
-            if q == 1:
+
+def _survives_every_rotation(system, word):
+    for rotated in cyclic_shifts(word):
+        q = initial_state(system)
+        for s in rotated:
+            q = transition(system, finite_pairs(system), q, s)
+            if q is None:
                 return False
-        return True
-
-    if mode == "fc":
-        finals = set(range(len(order))) - {1}
-    else:
-        finals = {qid for qid, word in words.items() if survives(word)}
-    return tuple(delta), frozenset(finals)
+    return True
 
 
 @pytest.mark.parametrize("mode", ["cfc", "fc"])
@@ -353,8 +399,18 @@ def _closure_over_transition(system, mode):
          "4-inf-2-triangle", "mixed-edge"],
 )
 def test_build_equals_the_closure_over_transition(system, mode):
-    a = build(system, mode)
-    assert (a.delta, a.finals) == _closure_over_transition(system, mode)
+    linear = build(system, "fc")
+    if mode == "fc":
+        assert (linear.delta, linear.finals) == _closure_over_transition(system)
+        return
+    # the cyclic machine accepts exactly the words all of whose rotations
+    # `transition` reads without reaching the sink
+    cyclic = build(system, "cfc")
+    want = [
+        w for w in fsa.accepted_words(linear, 6)
+        if _survives_every_rotation(system, w)
+    ]
+    assert fsa.accepted_words(cyclic, 6) == want
 
 
 def test_rejects_bad_mode():

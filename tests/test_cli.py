@@ -44,18 +44,23 @@ def test_verify_reports_unbounded_tracking_regression():
     )
 
 
-def test_verify_reports_words_only_the_oracle_accepts(capsys):
-    # the known 4/inf/2 limit (see test_known_limit_of_the_bounded_summaries
-    # in test_cfc_automaton.py): update both when it is fixed
-    code, out, _ = run(
-        capsys, "verify", "--system",
-        '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}',
-        "--max-len", "9",
-    )
+def test_verify_reports_words_only_the_oracle_accepts(capsys, monkeypatch):
+    # a pipeline that misses a word on purpose: the state reached by 01
+    # in B3 no longer accepts
+    exact = cfc_automaton.build
+
+    def missing(system, mode="cfc", state_budget=None):
+        a = exact(system, mode)
+        q = a.delta[a.delta[a.initial][0]][1]
+        return fsa.Dfa(a.alphabet_size, a.delta, a.initial, a.finals - {q},
+                       a.dead, a.letter_names)
+
+    monkeypatch.setattr(cfc_automaton, "build", missing)
+    code, out, _ = run(capsys, "verify", "--system", "B3", "--max-len", "4")
     assert code == 1
     assert out == (
-        "mismatch at length 9: automaton 23 vs oracle 24\n"
-        "witness [2,1,2,1,0,1,2,1,0] (oracle only)\n"
+        "mismatch at length 2: automaton 4 vs oracle 5\n"
+        "witness [0,1] (oracle only)\n"
     )
 
 
@@ -82,13 +87,24 @@ def test_tiny_state_budget_exits_3(capsys):
     assert "budget" in err
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cfc_automaton, "build", exhausted)
+    code, out, err = run(capsys, "automaton", "--system", "A3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory")
+
+
 def test_broken_pair_rule_exits_4(capsys, monkeypatch):
-    # the builder reuses each pair's step, but every step still goes
-    # through the pair rule, and its errors reach the command line
-    def broken(rec, pair, s):
+    # every step of the linear recognizer goes through the chain rule, and
+    # the rule's invariant errors reach the command line
+    def broken(system, pair, chain, s):
         raise InternalError(f"broken rule for pair {pair}")
 
-    monkeypatch.setattr(cfc_automaton, "_append_own", broken)
+    monkeypatch.setattr(cfc_automaton, "_chain_step", broken)
     code, out, err = run(capsys, "automaton", "--system", "A3")
     assert code == 4
     assert out == ""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from cfcgf.fsa import (
     intersect,
     is_subset,
     minimize,
+    rotation_closure,
     subset_counterexample,
     trim,
 )
@@ -153,6 +156,28 @@ def test_json_malformed():
         Dfa.from_json_dict({"alphabet": ["0"]})
 
 
+def test_rotation_closure_of_a_small_language():
+    # words over {0,1} with no factor 11: the closure also forbids a word
+    # that starts and ends with 1, whose rotation joins the two
+    no_11 = Dfa(2, ((0, 1), (0, 2), (2, 2)), 0, frozenset({0, 1}), dead=2)
+    c = rotation_closure(no_11)
+    assert c.accepts((1, 0)) and c.accepts((0, 1, 0))
+    assert not c.accepts((1, 0, 1)) and not c.accepts((1, 1))
+    assert c.accepts((1,))  # its only rotation is itself
+    # guided, only words of even length remain
+    even = Dfa(2, ((1, 1), (0, 0)), 0, frozenset({0}))
+    g = rotation_closure(no_11, even)
+    assert g.accepts((1, 0)) and not g.accepts((1,)) and not g.accepts((0, 1, 0))
+
+
+def test_rotation_closure_needs_a_prefix_closed_machine():
+    with pytest.raises(InputError):
+        rotation_closure(even_ones())  # rejects 1, accepts 11
+    leaky = Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)
+    with pytest.raises(InputError):
+        rotation_closure(leaky)  # its "dead" state leads back to acceptance
+
+
 def test_dot_output():
     d = Dfa(2, ((1, 2), (1, 2), (2, 2)), 0, frozenset({1}), dead=2)
     dot = d.to_dot()
@@ -206,3 +231,45 @@ def test_intersection_is_lower_bound(a, b):
 def test_minimize_reaches_fixed_point(d):
     m = minimize(d)
     assert minimize(m).to_json() == m.to_json()
+
+
+@st.composite
+def prefix_closed_dfas(draw, k):
+    """A machine that accepts exactly the words avoiding its dead state,
+    the last of its states."""
+    n = draw(st.integers(1, 4))
+    delta = tuple(
+        tuple(draw(st.integers(0, n)) for _ in range(k)) for _ in range(n)
+    ) + ((n,) * k,)
+    return Dfa(k, delta, 0, frozenset(range(n)), dead=n)
+
+
+@st.composite
+def closure_inputs(draw):
+    k = draw(st.integers(1, 3))
+    a = draw(prefix_closed_dfas(k))
+    guide = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        delta = tuple(
+            tuple(draw(st.integers(0, m - 1)) for _ in range(k)) for _ in range(m)
+        )
+        finals = frozenset(q for q in range(m) if draw(st.booleans()))
+        guide = Dfa(k, delta, 0, finals)
+    return a, guide
+
+
+@given(closure_inputs())
+@settings(max_examples=100, deadline=None)
+def test_rotation_closure_is_its_definition(inputs):
+    # on every word up to length 6: accepted iff every rotation is in L(a)
+    # (and the word in L(guide))
+    a, guide = inputs
+    c = rotation_closure(a, guide)
+    for n in range(7):
+        for w in product(range(a.alphabet_size), repeat=n):
+            rotations = [w[i:] + w[:i] for i in range(max(n, 1))]
+            want = all(a.accepts(r) for r in rotations) and (
+                guide is None or guide.accepts(w)
+            )
+            assert c.accepts(w) == want, w
