@@ -27,9 +27,8 @@ from __future__ import annotations
 from . import fsa, lexnf
 from .core import CoxeterSystem, TrackedPair
 from .errors import InternalError
-from .fsa import Dfa
+from .fsa import DEFAULT_STATE_BUDGET, Dfa
 
-DEFAULT_STATE_BUDGET = 10**7
 MODES = ("fc", "cfc", "pipeline")
 
 EMPTY_CHAIN = (-1, 0)  # (last letter, length)
@@ -112,4 +111,4 @@ def build(
     if mode == "fc":
         return a
     guide = lexnf.build(system, state_budget) if mode == "pipeline" else None
-    return fsa.rotation_closure(fsa.minimize(a), guide, state_budget)
+    return fsa.rotation_closure(a, guide, state_budget)

@@ -24,13 +24,15 @@ def _load_system(source: str) -> CoxeterSystem:
                 text = fh.read()
         except OSError:
             text = source  # preset name, handled by the parser
+        except UnicodeDecodeError as e:
+            raise InputError(f"system file {source!r} is not UTF-8: {e}") from None
     return parse_system(text)
 
 
-def _build_stage(system: CoxeterSystem, args) -> fsa.Dfa:
-    if args.stage == "lexnf":
-        return lexnf.build(system, state_budget=args.state_budget)
-    return cfc_automaton.build(system, args.stage, args.state_budget)
+def _build_stage(system: CoxeterSystem, stage: str, state_budget: int) -> fsa.Dfa:
+    if stage == "lexnf":
+        return lexnf.build(system, state_budget)
+    return cfc_automaton.build(system, stage, state_budget)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -43,7 +45,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_automaton(args) -> int:
     system = _load_system(args.system)
-    a = _build_stage(system, args)
+    a = _build_stage(system, args.stage, args.state_budget)
     if args.stats:
         trimmed = fsa.trim(a)
         print(f"states {a.num_states}")
@@ -58,8 +60,8 @@ def cmd_automaton(args) -> int:
 
 def cmd_series(args) -> int:
     system = _load_system(args.system)
-    args.stage = "cfc" if args.per_expression else "pipeline"
-    a = fsa.minimize(fsa.trim(_build_stage(system, args)))
+    stage = "cfc" if args.per_expression else "pipeline"
+    a = fsa.minimize(fsa.trim(_build_stage(system, stage, args.state_budget)))
     coeffs = genfun.count_by_length(a, args.max_len)
     doc = {"coeffs": [str(c) for c in coeffs]}
     _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -68,8 +70,10 @@ def cmd_series(args) -> int:
 
 def cmd_genfun(args) -> int:
     system = _load_system(args.system)
-    args.stage = "cfc" if args.per_expression else "pipeline"
-    coeffs, gf = genfun.counted_genfun(_build_stage(system, args))
+    stage = "cfc" if args.per_expression else "pipeline"
+    coeffs, gf = genfun.counted_genfun(
+        _build_stage(system, stage, args.state_budget)
+    )
     doc = {"coeffs": [str(c) for c in coeffs]}
     doc.update(gf.to_json_dict())
     print(gf)
@@ -131,9 +135,8 @@ def verify(
 
 def cmd_verify(args) -> int:
     system = _load_system(args.system)
-    args.stage = "pipeline"
-    mismatch = verify(system, _build_stage(system, args), args.max_len,
-                      args.class_budget)
+    a = _build_stage(system, "pipeline", args.state_budget)
+    mismatch = verify(system, a, args.max_len, args.class_budget)
     if mismatch is None:
         print(f"ok: lengths 0..{args.max_len} agree")
         return 0
@@ -154,16 +157,26 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _common(sub: argparse.ArgumentParser, max_len: bool = False) -> None:
+def _common(
+    sub: argparse.ArgumentParser,
+    max_len: bool = False,
+    out: bool = True,
+    state_budget: bool = True,
+    class_budget: bool = False,
+) -> None:
+    """Attach --system and those of the shared options the command reads."""
     sub.add_argument("--system", required=True,
                      help="preset name, JSON document, or path to a JSON file")
     if max_len:
         sub.add_argument("--max-len", type=_nonneg, required=True, dest="max_len")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--state-budget", type=int, dest="state_budget",
-                     default=cfc_automaton.DEFAULT_STATE_BUDGET)
-    sub.add_argument("--class-budget", type=int, dest="class_budget",
-                     default=oracle.DEFAULT_CLASS_BUDGET)
+    if out:
+        sub.add_argument("--out", help="output path (default: stdout)")
+    if state_budget:
+        sub.add_argument("--state-budget", type=int, dest="state_budget",
+                         default=fsa.DEFAULT_STATE_BUDGET)
+    if class_budget:
+        sub.add_argument("--class-budget", type=int, dest="class_budget",
+                         default=oracle.DEFAULT_CLASS_BUDGET)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -200,14 +213,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genfun)
 
     p = subs.add_parser("oracle", help="brute-force counts (ground truth)")
-    _common(p, max_len=True)
+    _common(p, max_len=True, state_budget=False, class_budget=True)
     p.add_argument("--stage", choices=["cfc", "fc"], default="cfc")
     p.add_argument("--witnesses", action="store_true",
                    help="include accepted words per length")
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("verify", help="compare the pipeline against the oracle")
-    _common(p, max_len=True)
+    _common(p, max_len=True, out=False, class_budget=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

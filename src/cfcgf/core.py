@@ -189,7 +189,9 @@ def parse_system(text: str, max_rank: int = DEFAULT_MAX_RANK) -> CoxeterSystem:
         if not isinstance(doc, dict) or "matrix" not in doc:
             raise InputError('system document needs a "matrix" field')
         raw = doc["matrix"]
-        if not isinstance(raw, list) or not raw:
+        if not isinstance(raw, list) or not raw or not all(
+            isinstance(row, list) for row in raw
+        ):
             raise InputError("matrix must be a non-empty list of rows")
         mat = tuple(
             tuple(_entry_from_json(v, f"({i},{j})") for j, v in enumerate(row))

@@ -14,7 +14,7 @@ import json
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import compress
 
 from .errors import BudgetError, InputError
 
@@ -235,8 +235,7 @@ def trim(dfa: Dfa) -> Dfa:
     """Drop states that are unreachable or cannot reach acceptance, then
     re-complete with a single dead state.  An empty language collapses to
     one rejecting state."""
-    reach = set(_bfs_order(dfa.delta, dfa.initial))
-    keep = reach & coreachable(dfa)
+    keep = coreachable(dfa)  # the walk below reaches only reachable states
     if dfa.initial not in keep:
         row = (0,) * dfa.alphabet_size
         return Dfa(dfa.alphabet_size, (row,), 0, frozenset(), 0, dfa.letter_names)
@@ -257,87 +256,55 @@ def trim(dfa: Dfa) -> Dfa:
         )
     if need_dead:
         delta.append((dead,) * dfa.alphabet_size)
-    finals = frozenset(ids[q] for q in dfa.finals if q in keep)
+    finals = frozenset(ids[q] for q in dfa.finals if q in ids)
     return Dfa(dfa.alphabet_size, tuple(delta), 0, finals, dead, dfa.letter_names)
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Hopcroft partition refinement on the reachable part.  Output states
-    are numbered by breadth-first discovery, so equal inputs give equal
-    outputs.  Each letter's transitions, and their reverse (sources sorted
-    by target, with offsets), are kept as flat arrays rather than as
-    lists per state, which would take most of the memory."""
+    """Moore refinement on the reachable part (Moore 1956).  The states
+    start in two blocks, accepting and rejecting.  Each round gives every
+    state the id of its signature, the tuple of its block and the blocks
+    its letters lead to, and the rounds stop when one adds no block.
+    After round i two states share a block iff no suffix of at most i
+    letters tells them apart, so there is one round more than the longest
+    shortest distinguishing suffix has letters (fewer than n), and the
+    cost is O(rounds * n * k) for n states and k letters.  Each
+    letter's transitions are kept as a flat array.  Output states are
+    numbered by breadth-first discovery, so machines with the same
+    language give the same output."""
     order = _bfs_order(dfa.delta, dfa.initial)
     ids = [-1] * dfa.num_states
     for i, q in enumerate(order):
         ids[q] = i
-    n = len(order)
     k = dfa.alphabet_size
     cols = [array("I", [ids[dfa.delta[q][c]] for q in order]) for c in range(k)]
     finals = {ids[q] for q in dfa.finals if ids[q] >= 0}
 
-    rev: list[tuple[array, array]] = []  # sources by target, offsets
-    for col in cols:
-        starts = [0] * (n + 1)
-        for r in col:
-            starts[r + 1] += 1
-        rev.append((
-            array("I", sorted(range(n), key=col.__getitem__)),
-            array("I", accumulate(starts)),
-        ))
+    block = [int(q in finals) for q in range(len(order))]
+    count = len(set(block))
+    while True:
+        signatures: dict[tuple[int, ...], int] = {}
+        block = [
+            signatures.setdefault(sig, len(signatures))
+            for sig in zip(block, *(map(block.__getitem__, col) for col in cols))
+        ]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
 
-    block_of = [0] * n
-    blocks: list[set[int]] = []
-    nonfinal = set(range(n)) - finals
-    for s in (finals, nonfinal):
-        if s:
-            for q in s:
-                block_of[q] = len(blocks)
-            blocks.append(set(s))
-    worklist = {(i, c) for i in range(len(blocks)) for c in range(k)}
-    while worklist:
-        i, c = worklist.pop()
-        sources, starts = rev[c]
-        preimage: dict[int, set[int]] = {}
-        for q in blocks[i]:
-            for p in sources[starts[q]:starts[q + 1]]:
-                preimage.setdefault(block_of[p], set()).add(p)
-        for j, hit in preimage.items():
-            if len(hit) == len(blocks[j]):
-                continue
-            blocks[j] -= hit
-            new_id = len(blocks)
-            blocks.append(hit)
-            for p in hit:
-                block_of[p] = new_id
-            smaller = new_id if len(hit) <= len(blocks[j]) else j
-            for cc in range(k):
-                if (j, cc) in worklist:
-                    worklist.add((new_id, cc))
-                else:
-                    worklist.add((smaller, cc))
-
-    rep_delta = {
-        b: [block_of[col[next(iter(blocks[b]))]] for col in cols]
-        for b in range(len(blocks))
-    }
-    start_block = block_of[0]
-    renum = {start_block: 0}
-    bfs = [start_block]
-    for b in bfs:
-        for c in range(k):
-            t = rep_delta[b][c]
-            if t not in renum:
-                renum[t] = len(bfs)
-                bfs.append(t)
-    new_delta = tuple(
-        tuple(renum[rep_delta[b][c]] for c in range(k)) for b in bfs
-    )
-    new_finals = frozenset(
-        renum[b] for b in bfs if next(iter(blocks[b])) in finals
-    )
+    # Block ids follow the first members in breadth-first order, and the
+    # other members of a block lead to the blocks its first member leads
+    # to, so the ids already number the blocks in breadth-first order.
+    reps = [0] * count  # any member of each block
+    for q, b in enumerate(block):
+        reps[b] = q
+    new_delta = tuple(tuple(block[col[q]] for col in cols) for q in reps)
+    new_finals = frozenset(b for b, q in enumerate(reps) if q in finals)
     result = Dfa(k, new_delta, 0, new_finals, None, dfa.letter_names)
     return _with_semantic_dead(result)
+
+
+DEFAULT_STATE_BUDGET = 10**7
 
 
 def explore(start, step, alphabet_size: int, state_budget: int):
@@ -373,7 +340,7 @@ def explore(start, step, alphabet_size: int, state_budget: int):
 
 
 def rotation_closure(
-    a: Dfa, guide: Dfa | None = None, state_budget: int = 10**7
+    a: Dfa, guide: Dfa | None = None, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> Dfa:
     """Automaton for {w : every rotation of w is in L(a)}, intersected with
     L(guide) when a guide is given; only words the guide keeps are

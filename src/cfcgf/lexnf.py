@@ -14,19 +14,7 @@ by product.
 from __future__ import annotations
 
 from .core import CoxeterSystem
-from .fsa import Dfa, explore
-
-DEFAULT_STATE_BUDGET = 10**7
-
-
-def reachable_sets(u: tuple[int, ...], system: CoxeterSystem) -> tuple[int, ...]:
-    """Reference computation of the per-letter reach masks for a word."""
-    masks = [0] * system.rank
-    for a in system.generators:
-        for i in range(len(u)):
-            if all(system.commutes(a, x) for x in u[i:]):
-                masks[a] |= 1 << u[i]
-    return tuple(masks)
+from .fsa import DEFAULT_STATE_BUDGET, Dfa, explore
 
 
 def is_lex_least(word: tuple[int, ...], system: CoxeterSystem) -> bool:

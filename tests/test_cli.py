@@ -70,13 +70,23 @@ def test_unknown_system_exits_2(capsys):
     assert err.startswith("error:")
 
 
-def test_malformed_matrix_exits_2(capsys):
+def test_malformed_matrix_exits_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "series", "--system", '{"matrix": [[1, 3], [2, 1]]}',
         "--max-len", "3",
     )
     assert code == 2
     assert "symmetric" in err
+    not_utf8 = tmp_path / "system.json"
+    not_utf8.write_bytes(b'{"matrix": [[1, 3], [3, 1]], "generators": ["\xe9"]}')
+    for argv, message in [
+        (("series", "--system", '{"matrix": [1, 2]}', "--max-len", "3"),
+         "list of rows"),
+        (("genfun", "--system", str(not_utf8)), "UTF-8"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and message in err
 
 
 def test_tiny_state_budget_exits_3(capsys):
@@ -115,6 +125,19 @@ def test_missing_required_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--system", "A2"])
     assert exc.value.code == 2
+
+
+def test_options_a_command_does_not_read_exit_2(capsys):
+    for argv in [
+        ("genfun", "--system", "A2", "--class-budget", "3"),
+        ("series", "--system", "A2", "--max-len", "3", "--class-budget", "3"),
+        ("automaton", "--system", "A2", "--class-budget", "3"),
+        ("oracle", "--system", "A2", "--max-len", "3", "--state-budget", "3"),
+        ("verify", "--system", "A2", "--max-len", "3", "--out", "v.txt"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
 
 
 def test_negative_max_len_exits_2(capsys):

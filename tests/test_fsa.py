@@ -226,11 +226,69 @@ def test_intersection_is_lower_bound(a, b):
     assert is_subset(c, a) and is_subset(c, b)
 
 
-@given(dfas())
+@given(dfas(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_minimize_reaches_fixed_point(d):
+def test_minimize_reaches_fixed_point(d, data):
     m = minimize(d)
     assert minimize(m).to_json() == m.to_json()
+    # the output is canonical: trimming first, or numbering the states
+    # another way with the initial state kept at 0, changes nothing
+    assert minimize(trim(d)).to_json() == m.to_json()
+    new = [0] + data.draw(st.permutations(range(1, d.num_states)))
+    delta = [()] * d.num_states
+    for q, row in enumerate(d.delta):
+        delta[new[q]] = tuple(new[r] for r in row)
+    renumbered = Dfa(
+        d.alphabet_size, tuple(delta), 0, frozenset(new[q] for q in d.finals)
+    )
+    assert minimize(renumbered).to_json() == m.to_json()
+
+
+def _run(d: Dfa, q: int, word) -> int:
+    for c in word:
+        q = d.delta[q][c]
+    return q
+
+
+@given(dfas())
+@settings(max_examples=80, deadline=None)
+def test_minimize_is_minimal(d):
+    # every state is reachable, and no two states accept the same words up
+    # to length n, which is long enough to separate any two states of an
+    # n-state machine that accept different languages
+    m = minimize(d)
+    n = m.num_states
+    words = [
+        w for length in range(n + 1)
+        for w in product(range(m.alphabet_size), repeat=length)
+    ]
+    assert {_run(m, m.initial, w) for w in words} == set(range(n))
+    languages = {tuple(_run(m, q, w) in m.finals for w in words) for q in range(n)}
+    assert len(languages) == n
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_minimize_collapses_a_long_chain(n):
+    # exactly the words of length n over {0, 1}, with two copies of every
+    # level: letter 0 leads to copy 0 of the next level and letter 1 to
+    # copy 1.  Only suffixes of n letters tell the start from the dead
+    # state, so the refinement needs a round per level; the copies merge,
+    # leaving the n+1 levels and the dead state.
+    dead = 2 * n + 1
+
+    def level(i: int) -> tuple[int, int]:
+        return (2 * i - 1, 2 * i) if i <= n else (dead, dead)
+
+    delta = [level(1)]  # the start, level 0
+    for i in range(1, n + 1):
+        delta += [level(i + 1)] * 2
+    delta.append((dead, dead))
+    d = Dfa(2, tuple(delta), 0, frozenset(level(n)))
+    m = minimize(d)
+    assert m.num_states == n + 2
+    assert m.dead == n + 1
+    assert m.delta == tuple((i + 1, i + 1) for i in range(n + 1)) + ((n + 1, n + 1),)
+    assert m.finals == frozenset({n})
 
 
 @st.composite
