@@ -93,21 +93,19 @@ def build(
     rotation closure (every reduced word of every CFC element), "pipeline"
     the closure guided by `lexnf.build` (one word per CFC element).
 
-    The linear recognizer is the breadth-first closure over `transition`
-    from the empty word: state 0 is the start, state 1 the sink, the rest
-    are numbered in discovery order, and every state but the sink accepts.
+    The linear recognizer is `fsa.explore` over `transition` from the
+    empty word, and every state but the sink accepts.
     Each machine built on the way has at most state_budget states."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
     pairs = finite_pairs(system)
-    states, delta = fsa.explore(
+    a = fsa.explore(
         initial_state(system),
         lambda q, s: transition(system, pairs, q, s),
-        system.rank,
+        lambda q: True,
+        system.names,
         state_budget,
     )
-    finals = frozenset(range(len(states))) - {1}
-    a = Dfa(system.rank, delta, 0, finals, 1, system.names)
     if mode == "fc":
         return a
     guide = lexnf.build(system, state_budget) if mode == "pipeline" else None

@@ -147,14 +147,17 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return parse
 
 
 def _common(
@@ -168,15 +171,16 @@ def _common(
     sub.add_argument("--system", required=True,
                      help="preset name, JSON document, or path to a JSON file")
     if max_len:
-        sub.add_argument("--max-len", type=_nonneg, required=True, dest="max_len")
+        sub.add_argument("--max-len", type=_int_at_least(0), required=True,
+                         dest="max_len")
     if out:
         sub.add_argument("--out", help="output path (default: stdout)")
     if state_budget:
-        sub.add_argument("--state-budget", type=int, dest="state_budget",
-                         default=fsa.DEFAULT_STATE_BUDGET)
+        sub.add_argument("--state-budget", type=_int_at_least(1),
+                         dest="state_budget", default=fsa.DEFAULT_STATE_BUDGET)
     if class_budget:
-        sub.add_argument("--class-budget", type=int, dest="class_budget",
-                         default=oracle.DEFAULT_CLASS_BUDGET)
+        sub.add_argument("--class-budget", type=_int_at_least(1),
+                         dest="class_budget", default=oracle.DEFAULT_CLASS_BUDGET)
 
 
 def make_parser() -> argparse.ArgumentParser:

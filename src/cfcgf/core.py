@@ -17,7 +17,7 @@ from .errors import InputError
 
 INF = float("inf")
 
-DEFAULT_MAX_RANK = 16
+MAX_RANK = 16
 
 
 class TrackedPair(NamedTuple):
@@ -172,13 +172,14 @@ def _entry_from_json(v, where: str) -> int | float:
     return v
 
 
-def parse_system(text: str, max_rank: int = DEFAULT_MAX_RANK) -> CoxeterSystem:
+def parse_system(text: str) -> CoxeterSystem:
     """Accept either a preset name (see preset_system) or a JSON document
 
         {"generators": ["a", "b"], "matrix": [[1, 3], [3, 1]]}
 
     with "inf" standing for an infinite label.  The generators field is
-    optional.  Rank is capped (transition tables use machine-word bitsets).
+    optional.  The rank is capped at MAX_RANK to bound the size of the
+    input the builders take on.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -206,8 +207,8 @@ def parse_system(text: str, max_rank: int = DEFAULT_MAX_RANK) -> CoxeterSystem:
         system = CoxeterSystem(mat, names)
     else:
         system = preset_system(text)
-    if system.rank > max_rank:
-        raise InputError(f"rank {system.rank} exceeds the cap of {max_rank}")
+    if system.rank > MAX_RANK:
+        raise InputError(f"rank {system.rank} exceeds the cap of {MAX_RANK}")
     return system
 
 

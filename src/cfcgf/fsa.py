@@ -1,11 +1,12 @@
 """Deterministic finite automata over an integer alphabet.
 
 Every automaton here is complete: delta[q][a] is defined for all states q and
-letters a.  A state that can never reach an accepting state again may be
-recorded in ``dead``; it is a hint used for pretty-printing and state counts,
-not a semantic requirement.  Operations renumber states by breadth-first
-discovery from the initial state (letters in increasing order), which makes
-their output deterministic and therefore byte-for-byte reproducible.
+letters a.  ``dead``, when set, names a rejecting state that every letter
+maps to itself, so no word through it is accepted; the constructor checks
+this.  Other states may have an empty language without being named.
+Operations renumber states by breadth-first discovery from the initial state
+(letters in increasing order), which makes their output deterministic and
+therefore byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ class Dfa:
         if self.dead is not None:
             if not (0 <= self.dead < n):
                 raise InputError("dead state out of range")
-            if self.dead in self.finals:
-                raise InputError("dead state cannot be accepting")
+            if self.dead in self.finals or any(
+                r != self.dead for r in self.delta[self.dead]
+            ):
+                raise InputError("dead state must reject and lead only to itself")
         if not self.letter_names:
             object.__setattr__(
                 self, "letter_names", tuple(str(a) for a in range(self.alphabet_size))
@@ -92,25 +95,6 @@ class Dfa:
             ("states", str(self.num_states)),
         )
         return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "Dfa":
-        try:
-            names = tuple(str(x) for x in doc["alphabet"])
-            delta = tuple(tuple(int(x) for x in row) for row in doc["delta"])
-            finals = frozenset(int(x) for x in doc["finals"])
-            initial = int(doc["initial"])
-            dead = doc.get("dead")
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"malformed automaton document: {e}") from e
-        return Dfa(
-            alphabet_size=len(names),
-            delta=delta,
-            initial=initial,
-            finals=finals,
-            dead=None if dead is None else int(dead),
-            letter_names=names,
-        )
 
     def to_dot(self, keep_dead: bool = False) -> str:
         """GraphViz rendering.  The dead state and its edges are omitted
@@ -178,7 +162,8 @@ def _bfs_order(delta, initial) -> list[int]:
 
 def intersect(a: Dfa, b: Dfa) -> Dfa:
     """Product automaton accepting the intersection.  States are reachable
-    pairs, numbered in discovery order."""
+    pairs, numbered in discovery order.  No dead state is recorded: the
+    product may have several states with an empty language."""
     if a.alphabet_size != b.alphabet_size:
         raise InputError("cannot intersect automata over different alphabets")
     k = a.alphabet_size
@@ -197,37 +182,12 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
     finals = frozenset(
         i for i, (p, q) in enumerate(pairs) if p in a.finals and q in b.finals
     )
-    result = Dfa(
+    return Dfa(
         alphabet_size=k,
         delta=tuple(tuple(r) for r in delta),
         initial=0,
         finals=finals,
         letter_names=a.letter_names,
-    )
-    return _with_semantic_dead(result)
-
-
-def complement(a: Dfa) -> Dfa:
-    finals = frozenset(range(a.num_states)) - a.finals
-    result = Dfa(a.alphabet_size, a.delta, a.initial, finals, None, a.letter_names)
-    return _with_semantic_dead(result)
-
-
-def _with_semantic_dead(dfa: Dfa) -> Dfa:
-    """Record a dead state when exactly one reachable state has empty
-    language; with more than one the hint stays unset (minimize merges
-    them)."""
-    co = coreachable(dfa)
-    dead_states = [q for q in _bfs_order(dfa.delta, dfa.initial) if q not in co]
-    if len(dead_states) != 1:
-        return dfa
-    return Dfa(
-        dfa.alphabet_size,
-        dfa.delta,
-        dfa.initial,
-        dfa.finals,
-        dead_states[0],
-        dfa.letter_names,
     )
 
 
@@ -271,7 +231,9 @@ def minimize(dfa: Dfa) -> Dfa:
     cost is O(rounds * n * k) for n states and k letters.  Each
     letter's transitions are kept as a flat array.  Output states are
     numbered by breadth-first discovery, so machines with the same
-    language give the same output."""
+    language give the same output.  A minimal machine has at most one
+    state with an empty language, a rejecting state whose letters all
+    lead back to it; when there is one, it is the dead state."""
     order = _bfs_order(dfa.delta, dfa.initial)
     ids = [-1] * dfa.num_states
     for i, q in enumerate(order):
@@ -300,21 +262,24 @@ def minimize(dfa: Dfa) -> Dfa:
         reps[b] = q
     new_delta = tuple(tuple(block[col[q]] for col in cols) for q in reps)
     new_finals = frozenset(b for b, q in enumerate(reps) if q in finals)
-    result = Dfa(k, new_delta, 0, new_finals, None, dfa.letter_names)
-    return _with_semantic_dead(result)
+    dead = next((b for b, row in enumerate(new_delta)
+                 if b not in new_finals and all(r == b for r in row)), None)
+    return Dfa(k, new_delta, 0, new_finals, dead, dfa.letter_names)
 
 
 DEFAULT_STATE_BUDGET = 10**7
 
 
-def explore(start, step, alphabet_size: int, state_budget: int):
-    """Breadth-first closure of step from start, where step(q, c) is the
-    successor of state q on letter c, or None for the sink.  Returns the
-    states, numbered in discovery order with the start at 0 and the sink
-    (None) at 1, and their transition table.  At most state_budget states
-    are allowed, the sink included."""
+def explore(start, step, accepts, letter_names, state_budget: int) -> Dfa:
+    """The machine of the breadth-first closure of step from start, where
+    step(q, c) is the successor of state q on letter c, or None for the
+    sink.  Its states are numbered in discovery order with the start at 0
+    and the sink at 1, its dead state; a found state q accepts iff
+    accepts(q).  At most state_budget states are allowed, the sink
+    included."""
     if state_budget < 2:  # the start and the sink
         raise BudgetError(f"state budget {state_budget} exceeded while building")
+    alphabet_size = len(letter_names)
     states = [start, None]
     numbered = {start: 0}
     delta: list[tuple[int, ...]] = []
@@ -336,7 +301,10 @@ def explore(start, step, alphabet_size: int, state_budget: int):
                 states.append(r)
             row.append(rid)
         delta.append(tuple(row))
-    return states, tuple(delta)
+    finals = frozenset(
+        i for i, q in enumerate(states) if q is not None and accepts(q)
+    )
+    return Dfa(alphabet_size, tuple(delta), 0, finals, 1, letter_names)
 
 
 def rotation_closure(
@@ -345,7 +313,7 @@ def rotation_closure(
     """Automaton for {w : every rotation of w is in L(a)}, intersected with
     L(guide) when a guide is given; only words the guide keeps are
     explored.  a must accept exactly the words that avoid its dead state,
-    as a prefix-closed machine does.
+    as a prefix-closed machine does: every state but the dead one accepts.
 
     A state is (T, M, g) for the word w read so far.  T is the
     transformation x -> delta(x, w) on the states x it keeps alive.  M has
@@ -359,14 +327,11 @@ def rotation_closure(
 
     T is packed as its domain then its images, interned as a small int,
     and stepped once per letter; each S is an interned bitmask, and M is
-    packed as sorted (r, S id) pairs.  State 0 is the start, state 1 the
-    sink, the rest are numbered in discovery order; at most state_budget
-    states."""
+    packed as sorted (r, S id) pairs.  The states are numbered as
+    `explore` numbers them, with at most state_budget of them."""
     n, k = a.num_states, a.alphabet_size
     dead = -1 if a.dead is None else a.dead
-    if a.finals != frozenset(range(n)) - {dead} or any(
-        r != dead for r in (a.delta[dead] if dead >= 0 else ())
-    ):
+    if a.finals != frozenset(range(n)) - {dead}:
         raise InputError("rotation_closure needs a machine whose only "
                          "rejecting state is its dead state")
     if guide is None:
@@ -449,8 +414,8 @@ def rotation_closure(
         m = None if t < 0 else m_step(m, c, t_alive[t])
         return None if m is None else (t, m, g)
 
-    def accepts(key: tuple[int, bytes, int] | None) -> bool:
-        if key is None or key[2] not in guide.finals:
+    def accepts(key: tuple[int, bytes, int]) -> bool:
+        if key[2] not in guide.finals:
             return False
         flat = array("I", key[1])
         return all(s_masks[flat[i + 1]] >> flat[i] & 1
@@ -458,11 +423,8 @@ def rotation_closure(
 
     domain = sorted(set(range(n)) - {dead}, key=lambda x: x != q0)
     t0 = t_id(domain, domain)
-    keys, delta = explore(
-        (t0, m_pack({q0: t_alive[t0]}), guide.initial), step, k, state_budget
-    )
-    finals = frozenset(i for i, key in enumerate(keys) if accepts(key))
-    return Dfa(k, delta, 0, finals, 1, a.letter_names)
+    return explore((t0, m_pack({q0: t_alive[t0]}), guide.initial), step,
+                   accepts, a.letter_names, state_budget)
 
 
 def _shortest_pair_word(a: Dfa, b: Dfa, hit) -> Word | None:
@@ -512,7 +474,8 @@ def is_subset(a: Dfa, b: Dfa) -> bool:
 
 def accepted_words(dfa: Dfa, max_len: int) -> list[Word]:
     """All accepted words of length at most max_len, shortest first and
-    lexicographic within a length.  Exponential in max_len; test sizes only."""
+    lexicographic within a length.  Words that reach the dead state are
+    not extended.  Exponential in max_len; test sizes only."""
     out: list[Word] = []
     layer: list[tuple[Word, int]] = [((), dfa.initial)]
     if dfa.initial in dfa.finals:

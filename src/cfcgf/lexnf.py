@@ -45,12 +45,5 @@ def build(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> Df
             for a in system.generators
         )
 
-    states, delta = explore((0,) * system.rank, step, system.rank, state_budget)
-    return Dfa(
-        alphabet_size=system.rank,
-        delta=delta,
-        initial=0,
-        finals=frozenset(range(len(states))) - {1},
-        dead=1,
-        letter_names=system.names,
-    )
+    return explore((0,) * system.rank, step, lambda q: True, system.names,
+                   state_budget)

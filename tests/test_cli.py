@@ -79,10 +79,14 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
     assert "symmetric" in err
     not_utf8 = tmp_path / "system.json"
     not_utf8.write_bytes(b'{"matrix": [[1, 3], [3, 1]], "generators": ["\xe9"]}')
+    rank_17 = json.dumps(
+        {"matrix": [[1 if i == j else 2 for j in range(17)] for i in range(17)]}
+    )
     for argv, message in [
         (("series", "--system", '{"matrix": [1, 2]}', "--max-len", "3"),
          "list of rows"),
         (("genfun", "--system", str(not_utf8)), "UTF-8"),
+        (("genfun", "--system", rank_17), "rank"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -141,9 +145,17 @@ def test_options_a_command_does_not_read_exit_2(capsys):
 
 
 def test_negative_max_len_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["series", "--system", "A2", "--max-len", "-1"])
-    assert exc.value.code == 2
+    # and budgets below 1
+    for argv in [
+        ("series", "--system", "A2", "--max-len", "-1"),
+        ("automaton", "--system", "A2", "--state-budget", "-5"),
+        ("automaton", "--system", "A2", "--state-budget", "0"),
+        ("oracle", "--system", "A2", "--max-len", "3", "--class-budget", "-1"),
+        ("oracle", "--system", "A2", "--max-len", "3", "--class-budget", "0"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
 
 
 def test_series_counts_elements(capsys):

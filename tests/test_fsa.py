@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from cfcgf.errors import InputError
 from cfcgf.fsa import (
     Dfa,
     accepted_words,
-    complement,
+    coreachable,
     difference_witness,
     equivalent,
     intersect,
@@ -43,6 +44,8 @@ def test_validation():
         Dfa(1, ((0,),), 0, frozenset({2}))
     with pytest.raises(InputError):
         Dfa(1, ((0,),), 0, frozenset({0}), dead=0)
+    with pytest.raises(InputError):  # the dead state leads back to acceptance
+        Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)
 
 
 def test_accepts():
@@ -63,13 +66,6 @@ def test_intersect_matches_conjunction():
 def test_intersect_alphabet_mismatch():
     with pytest.raises(InputError):
         intersect(even_ones(), Dfa(3, ((0, 0, 0),), 0, frozenset({0})))
-
-
-def test_complement_flips():
-    d = complement(even_ones())
-    assert not d.accepts(())
-    assert d.accepts((1,))
-    assert equivalent(complement(d), even_ones())
 
 
 def test_trim_drops_unreachable_and_hopeless():
@@ -117,7 +113,7 @@ def test_minimize_sets_dead_hint():
 
 def test_difference_witness_shortest_lex():
     a = even_ones()
-    b = complement(even_ones())
+    b = Dfa(2, ((0, 1), (1, 0)), 0, frozenset({1}))  # odd number of 1s
     assert difference_witness(a, b) == ()
     assert difference_witness(a, a) is None
     c = intersect(a, ends_with_zero())
@@ -144,18 +140,6 @@ def test_accepted_words_skips_dead():
     assert accepted_words(d, 3) == [(), (0,), (0, 0), (0, 0, 0)]
 
 
-def test_json_round_trip():
-    d = intersect(even_ones(), ends_with_zero())
-    doc = d.to_json_dict()
-    e = Dfa.from_json_dict(doc)
-    assert e.delta == d.delta and e.finals == d.finals and e.dead == d.dead
-
-
-def test_json_malformed():
-    with pytest.raises(InputError):
-        Dfa.from_json_dict({"alphabet": ["0"]})
-
-
 def test_rotation_closure_of_a_small_language():
     # words over {0,1} with no factor 11: the closure also forbids a word
     # that starts and ends with 1, whose rotation joins the two
@@ -173,9 +157,8 @@ def test_rotation_closure_of_a_small_language():
 def test_rotation_closure_needs_a_prefix_closed_machine():
     with pytest.raises(InputError):
         rotation_closure(even_ones())  # rejects 1, accepts 11
-    leaky = Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)
-    with pytest.raises(InputError):
-        rotation_closure(leaky)  # its "dead" state leads back to acceptance
+    with pytest.raises(InputError):  # its "dead" state leads back to acceptance
+        rotation_closure(Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1))
 
 
 def test_dot_output():
@@ -190,17 +173,48 @@ def test_dot_output():
 # randomized -----------------------------------------------------------------
 
 
+# letter names that JSON must escape: quotes, backslashes, control and
+# non-ASCII characters
+awkward_names = st.text(st.one_of(st.sampled_from('"\\\n'), st.characters()))
+
+
 @st.composite
 def dfas(draw):
+    """A random machine, with its dead state either unset or some state
+    made rejecting and absorbing, and with default or drawn letter names."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 3))
-    delta = tuple(
+    delta = [
         tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n)
-    )
+    ]
     finals = frozenset(
         q for q in range(n) if draw(st.booleans())
     )
-    return Dfa(k, delta, 0, finals)
+    dead = draw(st.none() | st.integers(0, n - 1))
+    if dead is not None:
+        delta[dead] = (dead,) * k
+        finals -= {dead}
+    names = tuple(draw(st.lists(awkward_names, min_size=k, max_size=k))
+                  if draw(st.booleans()) else ())
+    return Dfa(k, tuple(delta), 0, finals, dead, names)
+
+
+@given(dfas())
+@settings(max_examples=80, deadline=None)
+def test_to_json_is_the_indented_dump(d):
+    # to_json is written by hand; this is the text it documents
+    want = json.dumps(d.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert d.to_json() == want
+
+
+@given(dfas(), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_accepted_words_are_the_accepted_words(d, n):
+    assert accepted_words(d, n) == [
+        w for length in range(n + 1)
+        for w in product(range(d.alphabet_size), repeat=length)
+        if d.accepts(w)
+    ]
 
 
 @given(dfas())
@@ -239,7 +253,8 @@ def test_minimize_reaches_fixed_point(d, data):
     for q, row in enumerate(d.delta):
         delta[new[q]] = tuple(new[r] for r in row)
     renumbered = Dfa(
-        d.alphabet_size, tuple(delta), 0, frozenset(new[q] for q in d.finals)
+        d.alphabet_size, tuple(delta), 0, frozenset(new[q] for q in d.finals),
+        letter_names=d.letter_names,
     )
     assert minimize(renumbered).to_json() == m.to_json()
 
@@ -248,6 +263,19 @@ def _run(d: Dfa, q: int, word) -> int:
     for c in word:
         q = d.delta[q][c]
     return q
+
+
+@given(dfas())
+@settings(max_examples=80, deadline=None)
+def test_minimize_names_a_dead_state_iff_one_has_an_empty_language(d):
+    # every reachable state is reached by a word of fewer than n letters
+    reachable = {
+        _run(d, d.initial, w) for length in range(d.num_states)
+        for w in product(range(d.alphabet_size), repeat=length)
+    }
+    m = minimize(d)
+    assert (m.dead is not None) == bool(reachable - coreachable(d))
+    assert m.dead is None or m.dead not in coreachable(m)
 
 
 @given(dfas())

@@ -130,8 +130,8 @@ def test_counting_is_invariant_under_trim_and_minimize():
 
 def test_counting_skips_dead_states_without_a_hint():
     # the product of the B3 closure with the normal-form acceptor has 24
-    # states that cannot reach acceptance and, with more than one, no dead
-    # hint; accepted_words then walks all words
+    # states that cannot reach acceptance, and intersect names none of
+    # them dead; accepted_words then walks all words
     system = preset_system("B3")
     a = fsa.intersect(cfc_automaton.build(system), lexnf.build(system))
     assert a.dead is None
