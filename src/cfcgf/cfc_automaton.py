@@ -15,6 +15,11 @@ things:
   the end of the word.  A pair with an infinite label has no braid and
   keeps nothing.
 
+What a letter does to e and the watch mask, and which chains it can
+change, depends only on the letter, so `letter_tables` works it out once
+per system and `transition` reads it from there; each chain the letter
+can change still goes through the one rule, `_chain_step`.
+
 The reduced words of CFC elements are the words whose every rotation is a
 reduced FC word (Boothby et al., J. Algebraic Combin. 2012), so the cyclic
 machines are `fsa.rotation_closure` of the linear one: without a guide it
@@ -34,6 +39,9 @@ MODES = ("fc", "cfc", "pipeline")
 EMPTY_CHAIN = (-1, 0)  # (last letter, length)
 
 State = tuple[int, int, tuple[tuple[int, int], ...]]  # (e, watch mask, chains)
+# per letter: (legal letters added, watch letters kept,
+#              changed pairs as (index, pair, watch bit it arms))
+Tables = tuple[tuple[int, int, tuple[tuple[int, TrackedPair, int], ...]], ...]
 
 
 def finite_pairs(system: CoxeterSystem) -> tuple[TrackedPair, ...]:
@@ -49,38 +57,60 @@ def _chain_step(
     system: CoxeterSystem, pair: TrackedPair, chain: tuple[int, int], s: int
 ) -> tuple[tuple[int, int], bool]:
     """The pair's chain after reading s, and whether the chain now arms a
-    watch on the pair's other letter (it is one letter short of a braid)."""
+    watch on the pair's other letter (it is one letter short of a braid).
+    s fails to commute with at least one letter of the pair: a letter
+    commuting with both leaves the chain alone, and `letter_tables`
+    leaves such pairs out."""
     last, n = chain
     if s == pair.s or s == pair.t:
         if s == last or n >= pair.m - 1:
             raise InternalError(f"chain {chain} of pair {pair} cannot take {s}")
         return (s, n + 1), n + 1 == pair.m - 1
-    if system.commutes(pair.s, s) and system.commutes(pair.t, s):
-        return chain, False
     if n and system.commutes(last, s):
         # s blocks only the other letter: the last one still moves past it
         return (last, 1), False
     return EMPTY_CHAIN, False
 
 
+def letter_tables(system: CoxeterSystem) -> Tables:
+    """What each letter s does to a state, computed once per system: the
+    legal letters it adds (those not commuting with s), the watch letters
+    it keeps (those commuting with s), and the finite pairs whose chain
+    it can change, as (index in finite_pairs(system), pair, bit of the
+    watch the chain arms), the watch being on the pair's letter other
+    than s.  A letter commuting with both letters of a pair leaves the
+    pair's chain alone, so that pair is left out."""
+    pairs = finite_pairs(system)
+    tables = []
+    for s in system.generators:
+        adds = sum(1 << t for t in system.non_commuting(s))
+        keeps = sum(1 << t for t in system.generators if system.commutes(s, t))
+        changes = tuple(
+            (i, pair, 1 << (pair.t if s == pair.s else pair.s))
+            for i, pair in enumerate(pairs)
+            if not (system.commutes(pair.s, s) and system.commutes(pair.t, s))
+        )
+        tables.append((adds, keeps, changes))
+    return tuple(tables)
+
+
 def transition(
-    system: CoxeterSystem, pairs: tuple[TrackedPair, ...], q: State, s: int
+    system: CoxeterSystem, tables: Tables, q: State, s: int
 ) -> State | None:
-    """Successor of q on letter s, or None for the sink.  pairs is
-    finite_pairs(system)."""
+    """Successor of q on letter s, or None for the sink.  tables is
+    letter_tables(system); every chain s can change goes through
+    `_chain_step`."""
     e, watch, chains = q
     if not (e >> s) & 1 or (watch >> s) & 1:
         return None
-    for t in system.non_commuting(s):
-        e |= 1 << t
-    e &= ~(1 << s)
-    watch &= sum(1 << t for t in system.generators if system.commutes(s, t))
-    stepped = []
-    for pair, chain in zip(pairs, chains):
-        chain, arms = _chain_step(system, pair, chain, s)
+    adds, keeps, changes = tables[s]
+    e = (e | adds) & ~(1 << s)
+    watch &= keeps
+    stepped = list(chains)
+    for i, pair, other in changes:
+        stepped[i], arms = _chain_step(system, pair, chains[i], s)
         if arms:
-            watch |= 1 << (pair.t if s == pair.s else pair.s)
-        stepped.append(chain)
+            watch |= other
     return e, watch, tuple(stepped)
 
 
@@ -98,10 +128,10 @@ def build(
     Each machine built on the way has at most state_budget states."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
-    pairs = finite_pairs(system)
+    tables = letter_tables(system)
     a = fsa.explore(
         initial_state(system),
-        lambda q, s: transition(system, pairs, q, s),
+        lambda q, s: transition(system, tables, q, s),
         lambda q: True,
         system.names,
         state_budget,

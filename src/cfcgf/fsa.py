@@ -84,17 +84,19 @@ class Dfa:
         sort_keys=True) plus a newline.  It is written out by hand because
         with indent set CPython falls back to its pure-Python encoder,
         which is slow on large transition tables."""
-        fields = (  # in sorted key order
-            ("alphabet", _json_array([json.dumps(x) for x in self.letter_names], 2)),
-            ("dead", json.dumps(self.dead)),
-            ("delta", _json_array(
-                [_json_array([str(r) for r in row], 4) for row in self.delta], 2
-            )),
-            ("finals", _json_array([str(q) for q in sorted(self.finals)], 2)),
-            ("initial", str(self.initial)),
-            ("states", str(self.num_states)),
-        )
-        return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
+        sep = ",\n      "
+        rows = [f"\n    [\n      {sep.join(map(str, row))}\n    ]," if row
+                else "\n    []," for row in self.delta]
+        rows[-1] = rows[-1][:-1]  # no comma after the last row
+        # keys in sorted order; one join, so the large text is built once
+        return "".join([
+            '{\n  "alphabet": ',
+            _json_array([json.dumps(x) for x in self.letter_names], 2),
+            ',\n  "dead": ', json.dumps(self.dead),
+            ',\n  "delta": [', *rows, '\n  ],\n  "finals": ',
+            _json_array([str(q) for q in sorted(self.finals)], 2),
+            f',\n  "initial": {self.initial},\n  "states": {self.num_states}\n}}\n',
+        ])
 
     def to_dot(self, keep_dead: bool = False) -> str:
         """GraphViz rendering.  The dead state and its edges are omitted
@@ -117,10 +119,16 @@ class Dfa:
                     continue
                 grouped.setdefault(r, []).append(self.letter_names[a])
             for r in sorted(grouped):
-                label = ",".join(grouped[r])
+                label = ",".join(map(_dot_escape, grouped[r]))
                 lines.append(f"  q{q} -> q{r} [label=\"{label}\"];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_escape(name: str) -> str:
+    """name as the inside of a DOT string: backslashes and quotes escaped,
+    newlines written as \\n."""
+    return name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def _json_array(items: list[str], indent: int) -> str:
@@ -325,6 +333,15 @@ def rotation_closure(
     delta(r, c) and adds the entry (q0, alive(T_wc)); the result is the
     sink when wc leaves L(a), some r is dead, or the guide cannot accept.
 
+    The sink is also next when some entry, after its step and any merge,
+    has S & reach(r) empty, where reach(r) is the set of states other
+    than dead that r leads to (r itself included).  That is exact: more
+    letters only move r within reach(r), and merging only shrinks S, so
+    no rotation through that split is accepted again, and the state has
+    no accepting future.  Only states that `trim` would drop go.  S itself
+    is kept whole, not cut down to reach(r): cutting merges a few more
+    states on affine systems but makes the closure slower.
+
     T is packed as its domain then its images, interned as a small int,
     and stepped once per letter; each S is an interned bitmask, and M is
     packed as sorted (r, S id) pairs.  The states are numbered as
@@ -341,6 +358,22 @@ def rotation_closure(
     g_live = coreachable(guide)
     cols = [[row[c] for row in a.delta] for c in range(k)]
     q0 = a.initial
+
+    # reach[x]: bitmask of the states other than dead reachable from x,
+    # by sweeps in reverse state order until one changes nothing
+    reach = [0 if x == dead else 1 << x for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in reversed(range(n)):
+            if x == dead:
+                continue
+            mask = reach[x]
+            for y in a.delta[x]:
+                mask |= reach[y]
+            if mask != reach[x]:
+                reach[x] = mask
+                changed = True
 
     t_packed: list[bytes] = []  # T id -> x0 = q0, x1, ..., T(x0), T(x1), ...
     t_ids: dict[bytes, int] = {}
@@ -400,6 +433,8 @@ def rotation_closure(
                 return None
             if r in entries and entries[r] != rs:
                 rs = s_id(s_masks[entries[r]] & s_masks[rs])
+            if not s_masks[rs] & reach[r]:
+                return None
             entries[r] = rs
         return m_pack(entries)
 

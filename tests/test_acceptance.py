@@ -290,11 +290,12 @@ def test_07_state_components_mean_what_they_say(capsys):
     for name in ("A2", "A3", "B2", "B3", "I2:5", "tA2"):
         system = suite_system(name)
         pairs = cfc_automaton.finite_pairs(system)
+        tables = cfc_automaton.letter_tables(system)
         for n in range(9 if system.rank <= 3 else 7):
             for w in product(system.generators, repeat=n):
                 q = cfc_automaton.initial_state(system)
                 for s in w:
-                    q = cfc_automaton.transition(system, pairs, q, s)
+                    q = cfc_automaton.transition(system, tables, q, s)
                     if q is None:
                         break
                 if q is None:

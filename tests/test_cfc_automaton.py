@@ -13,6 +13,7 @@ from cfcgf.cfc_automaton import (
     build,
     finite_pairs,
     initial_state,
+    letter_tables,
     transition,
 )
 from cfcgf.core import CoxeterSystem, INF, cyclic_shifts, parse_system, preset_system
@@ -35,14 +36,14 @@ TRIANGLE_4_INF_2 = parse_system(
 EXPECTED_STATES = {
     "A1": 3,
     "A2": 6,
-    "A3": 19,
-    "A4": 100,
-    "B2": 8,
-    "B3": 34,
-    "B4": 246,
-    "D4": 96,
+    "A3": 17,
+    "A4": 66,
+    "B2": 6,
+    "B3": 21,
+    "B4": 100,
+    "D4": 66,
     "I2:5": 10,
-    "I2:6": 12,
+    "I2:6": 10,
     "I2:7": 14,
     "tA1": 8,
     "tA2": 35,
@@ -54,6 +55,9 @@ def test_state_census_frozen():
     for name, expected in EXPECTED_STATES.items():
         assert build(preset_system(name)).num_states == expected, name
     assert build(INF_TRIANGLE).num_states == 14
+    # states with no accepting future are cut while the closure is built
+    assert build(preset_system("A6"), "cfc").num_states == 1924
+    assert build(preset_system("A7"), "pipeline").num_states == 695
 
 
 def test_builds_are_reproducible():
@@ -82,7 +86,7 @@ def test_a2_language_is_exactly_five_words():
 def test_a2_state_after_one_letter():
     # only 1 may follow; no watch; the chain of the pair {0,1} is "0"
     system = preset_system("A2")
-    q = transition(system, finite_pairs(system), initial_state(system), 0)
+    q = transition(system, letter_tables(system), initial_state(system), 0)
     assert q == (0b10, 0, ((0, 1),))
 
 
@@ -94,7 +98,7 @@ def test_i25_rejects_010_without_sinking():
     system = preset_system("I2:5")
     q = initial_state(system)
     for s in (0, 1, 0):
-        q = transition(system, finite_pairs(system), q, s)
+        q = transition(system, letter_tables(system), q, s)
         assert q is not None
     assert not build(system).accepts((0, 1, 0))
 
@@ -153,13 +157,14 @@ def test_accepted_language_is_rotation_closed():
 
 def _reachable_states(system, max_depth):
     pairs = finite_pairs(system)
+    tables = letter_tables(system)
     seen = {initial_state(system)}
     frontier = list(seen)
     for _ in range(max_depth):
         nxt = []
         for q in frontier:
             for s in system.generators:
-                r = transition(system, pairs, q, s)
+                r = transition(system, tables, q, s)
                 if r is not None and r not in seen:
                     seen.add(r)
                     nxt.append(r)
@@ -189,7 +194,7 @@ def test_chain_record_invariants(name):
 def _state_after(system, word):
     q = initial_state(system)
     for s in word:
-        q = transition(system, finite_pairs(system), q, s)
+        q = transition(system, letter_tables(system), q, s)
     return q
 
 
@@ -347,8 +352,8 @@ def test_state_budget_is_enforced():
 
 @pytest.mark.parametrize("mode", ["cfc", "fc"])
 def test_state_budget_counts_every_state(mode):
-    # B3 needs 34 states in cfc mode and 16 in fc mode, the sink among them
-    states = {"cfc": 34, "fc": 16}[mode]
+    # B3 needs 21 states in cfc mode and 16 in fc mode, the sink among them
+    states = {"cfc": 21, "fc": 16}[mode]
     assert build(preset_system("B3"), mode, state_budget=states).num_states == states
     with pytest.raises(BudgetError):
         build(preset_system("B3"), mode, state_budget=states - 1)
@@ -357,7 +362,7 @@ def test_state_budget_counts_every_state(mode):
 def _closure_over_transition(system):
     """Reference for the linear recognizer: a plain breadth-first closure,
     one `transition` call per state and letter, with the same numbering."""
-    pairs = finite_pairs(system)
+    tables = letter_tables(system)
     start = initial_state(system)
     numbered = {start: 0}
     order = [start, None]  # id 1 is the sink
@@ -368,7 +373,7 @@ def _closure_over_transition(system):
             continue
         row = []
         for s in system.generators:
-            r = transition(system, pairs, q, s)
+            r = transition(system, tables, q, s)
             if r is None:
                 row.append(1)
                 continue
@@ -384,7 +389,7 @@ def _survives_every_rotation(system, word):
     for rotated in cyclic_shifts(word):
         q = initial_state(system)
         for s in rotated:
-            q = transition(system, finite_pairs(system), q, s)
+            q = transition(system, letter_tables(system), q, s)
             if q is None:
                 return False
     return True
@@ -468,3 +473,30 @@ def test_acceptance_is_rotation_invariant_on_random_systems(system, data):
     a = build(system)
     shifted = word[1:] + word[:1]
     assert a.accepts(word) == a.accepts(shifted)
+
+
+def _assert_lexnf_is_minimal(system):
+    # minimal but for its sink, which it lists even when no word reaches it
+    a = lexnf.build(system)
+    sink_reached = any(1 in row for q, row in enumerate(a.delta) if q != 1)
+    assert a.num_states == fsa.minimize(a).num_states + (not sink_reached)
+
+
+LEXNF_PRESETS = ["A1", "A3", "A9", "B3", "B7", "D4", "D7", "I2:5", "I2:inf",
+                 "tA1", "tA2", "tA7"]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [preset_system(n) for n in LEXNF_PRESETS]
+    + [INF_TRIANGLE, TRIANGLE_4_INF_2, MIXED_EDGE],
+    ids=LEXNF_PRESETS + ["inf-triangle", "4-inf-2-triangle", "mixed-edge"],
+)
+def test_lexnf_build_is_minimal(system):
+    _assert_lexnf_is_minimal(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_lexnf_build_is_minimal_on_random_systems(system):
+    _assert_lexnf_is_minimal(system)

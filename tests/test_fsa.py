@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfcgf import cfc_automaton
+from cfcgf.core import parse_system
 from cfcgf.errors import InputError
 from cfcgf.fsa import (
     Dfa,
@@ -168,6 +171,23 @@ def test_dot_output():
     assert "doublecircle" in dot
     full = d.to_dot(keep_dead=True)
     assert "q2" in full
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    # a rank-3 system whose generator names hold DOT's special characters
+    system = parse_system(json.dumps({
+        "generators": ['b"q', "back\\slash", 'line\nbreak'],
+        "matrix": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
+    }))
+    dot = cfc_automaton.build(system, "pipeline").to_dot(keep_dead=True)
+    labels = [line.split("label=", 1)[1] for line in dot.splitlines()
+              if "label=" in line]
+    assert len(labels) > 3
+    for label in labels:
+        assert re.fullmatch(r'"(?:[^"\\]|\\.)*"\];', label), label
+    assert r'label="b\"q"' in dot
+    assert r'label="back\\slash"' in dot
+    assert r'label="line\nbreak"' in dot
 
 
 # randomized -----------------------------------------------------------------

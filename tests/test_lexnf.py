@@ -56,19 +56,19 @@ def test_infinite_labels_are_just_non_commutations():
 
 
 def test_state_counts_frozen():
-    assert lexnf.build(preset_system("A3")).num_states == 4
-    assert lexnf.build(preset_system("B3")).num_states == 4
+    assert lexnf.build(preset_system("A3")).num_states == 3
+    assert lexnf.build(preset_system("B3")).num_states == 3
     assert lexnf.build(preset_system("tA1")).num_states == 2
-    assert lexnf.build(preset_system("D4")).num_states == 8
+    assert lexnf.build(preset_system("D4")).num_states == 4
     assert lexnf.build(preset_system("I2:5")).num_states == 2
 
 
 def test_state_budget_counts_every_state():
-    # B3 needs 4 states, the dead state among them; tA1 needs only the
+    # B3 needs 3 states, the dead state among them; tA1 needs only the
     # start and the dead state
-    assert lexnf.build(preset_system("B3"), state_budget=4).num_states == 4
+    assert lexnf.build(preset_system("B3"), state_budget=3).num_states == 3
     with pytest.raises(BudgetError):
-        lexnf.build(preset_system("B3"), state_budget=3)
+        lexnf.build(preset_system("B3"), state_budget=2)
     assert lexnf.build(preset_system("tA1"), state_budget=2).num_states == 2
     with pytest.raises(BudgetError):
         lexnf.build(preset_system("tA1"), state_budget=1)
