@@ -61,6 +61,9 @@ class CoxeterSystem:
             object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
         elif len(self.names) != n:
             raise InputError("generator name list does not match matrix size")
+        elif len(set(self.names)) != n:
+            # words, witnesses and DOT labels are read back by name
+            raise InputError("generator names must be distinct")
 
     @property
     def rank(self) -> int:
@@ -117,6 +120,11 @@ def _path_matrix(k: int, last: int | float = 3) -> list[list[int | float]]:
     return m
 
 
+def _check_rank(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise InputError(f"rank {rank} exceeds the cap of {MAX_RANK}")
+
+
 def preset_system(name: str) -> CoxeterSystem:
     """Build one of the named families:
 
@@ -126,6 +134,9 @@ def preset_system(name: str) -> CoxeterSystem:
     I2:<m>    dihedral with label m >= 3, or I2:inf
     tA1       two generators with an infinite label
     tA<k>     cycle on k+1 nodes, all labels 3 (k >= 2)
+
+    The rank the name implies is checked against MAX_RANK before any
+    matrix is built.
     """
     mo = _PRESET_RE.match(name)
     if not mo:
@@ -136,6 +147,7 @@ def preset_system(name: str) -> CoxeterSystem:
             raise InputError("I2:<m> needs m >= 3 (use an explicit matrix for m = 2)")
         return CoxeterSystem(((1, lab), (lab, 1)))
     fam, k = mo.group(1), int(mo.group(2))
+    _check_rank(k + 1 if fam == "tA" else k)
     if fam == "A":
         if k < 1:
             raise InputError("A<k> needs k >= 1")
@@ -155,12 +167,8 @@ def preset_system(name: str) -> CoxeterSystem:
     # affine family tA<k>
     if k == 1:
         return CoxeterSystem(((1, INF), (INF, 1)))
-    n = k + 1
-    m = [[2] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 1
-        j = (i + 1) % n
-        m[i][j] = m[j][i] = 3
+    m = _path_matrix(k + 1)
+    m[0][k] = m[k][0] = 3  # close the path into a cycle
     return CoxeterSystem(tuple(tuple(r) for r in m))
 
 
@@ -178,8 +186,9 @@ def parse_system(text: str) -> CoxeterSystem:
         {"generators": ["a", "b"], "matrix": [[1, 3], [3, 1]]}
 
     with "inf" standing for an infinite label.  The generators field is
-    optional.  The rank is capped at MAX_RANK to bound the size of the
-    input the builders take on.
+    optional; its names must be distinct.  The rank is capped at MAX_RANK
+    to bound the size of the input the builders take on, and is checked
+    before the matrix is read.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -194,6 +203,7 @@ def parse_system(text: str) -> CoxeterSystem:
             isinstance(row, list) for row in raw
         ):
             raise InputError("matrix must be a non-empty list of rows")
+        _check_rank(len(raw))
         mat = tuple(
             tuple(_entry_from_json(v, f"({i},{j})") for j, v in enumerate(row))
             for i, row in enumerate(raw)
@@ -204,12 +214,8 @@ def parse_system(text: str) -> CoxeterSystem:
             if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
                 raise InputError("generators must be a list of strings")
             names = tuple(gens)
-        system = CoxeterSystem(mat, names)
-    else:
-        system = preset_system(text)
-    if system.rank > MAX_RANK:
-        raise InputError(f"rank {system.rank} exceeds the cap of {MAX_RANK}")
-    return system
+        return CoxeterSystem(mat, names)
+    return preset_system(text)
 
 
 def serialize_system(system: CoxeterSystem) -> str:

@@ -334,13 +334,19 @@ def rotation_closure(
     sink when wc leaves L(a), some r is dead, or the guide cannot accept.
 
     The sink is also next when some entry, after its step and any merge,
-    has S & reach(r) empty, where reach(r) is the set of states other
-    than dead that r leads to (r itself included).  That is exact: more
-    letters only move r within reach(r), and merging only shrinks S, so
-    no rotation through that split is accepted again, and the state has
-    no accepting future.  Only states that `trim` would drop go.  S itself
-    is kept whole, not cut down to reach(r): cutting merges a few more
-    states on affine systems but makes the closure slower.
+    has S & reach(r, g) empty, where g is the guide's new state and
+    reach(r, g) is the set of states other than dead that r leads to by
+    words that keep the guide live from g (r itself included).  Every
+    entry is born as r = q0 beside a live guide state and then reads the
+    letters the guide reads, so reach is needed only on the pairs of
+    states reachable from those.  Without a guide, g ranges over the one
+    state of the trivial guide (G = 1), and reach(r, g) is everything r
+    leads to.  The cut is exact: any accepting future moves r within
+    reach(r, g), and merging only shrinks S, so no rotation through that
+    split is accepted again, and the state has no accepting future.  Only
+    states that `trim` would drop go.  S itself is kept whole, not cut
+    down to reach(r, g): cutting merges a few more states on affine
+    systems but makes the closure slower.
 
     T is packed as its domain then its images, interned as a small int,
     and stepped once per letter; each S is an interned bitmask, and M is
@@ -359,21 +365,37 @@ def rotation_closure(
     cols = [[row[c] for row in a.delta] for c in range(k)]
     q0 = a.initial
 
-    # reach[x]: bitmask of the states other than dead reachable from x,
-    # by sweeps in reverse state order until one changes nothing
-    reach = [0 if x == dead else 1 << x for x in range(n)]
+    # reach[x * G + g]: bitmask of the states other than dead that x
+    # reaches while the guide stays live from g, over the pairs reachable
+    # from some (q0, g) with g live, by sweeps in reverse discovery order
+    # until one changes nothing
+    G = guide.num_states
+    pairs = [q0 * G + g for g in sorted(g_live)]
+    index = {p: i for i, p in enumerate(pairs)}
+    succs: list[list[int]] = []
+    for p in pairs:  # grows as pairs are found
+        x, g = divmod(p, G)
+        out = []
+        for y, h in zip(a.delta[x], guide.delta[g]):
+            if y != dead and h in g_live:
+                key = y * G + h
+                if key not in index:
+                    index[key] = len(pairs)
+                    pairs.append(key)
+                out.append(index[key])
+        succs.append(out)
+    masks = [1 << (p // G) for p in pairs]
     changed = True
     while changed:
         changed = False
-        for x in reversed(range(n)):
-            if x == dead:
-                continue
-            mask = reach[x]
-            for y in a.delta[x]:
-                mask |= reach[y]
-            if mask != reach[x]:
-                reach[x] = mask
+        for i in reversed(range(len(pairs))):
+            mask = masks[i]
+            for j in succs[i]:
+                mask |= masks[j]
+            if mask != masks[i]:
+                masks[i] = mask
                 changed = True
+    reach = dict(zip(pairs, masks))
 
     t_packed: list[bytes] = []  # T id -> x0 = q0, x1, ..., T(x0), T(x1), ...
     t_ids: dict[bytes, int] = {}
@@ -423,7 +445,7 @@ def rotation_closure(
         flat = [v for r in sorted(entries) for v in (r, entries[r])]
         return array("I", flat).tobytes()
 
-    def m_step(m: bytes, c: int, sid: int) -> bytes | None:
+    def m_step(m: bytes, c: int, sid: int, g: int) -> bytes | None:
         flat = array("I", m)
         col = cols[c]
         entries = {q0: sid}
@@ -433,7 +455,7 @@ def rotation_closure(
                 return None
             if r in entries and entries[r] != rs:
                 rs = s_id(s_masks[entries[r]] & s_masks[rs])
-            if not s_masks[rs] & reach[r]:
+            if not s_masks[rs] & reach[r * G + g]:
                 return None
             entries[r] = rs
         return m_pack(entries)
@@ -446,7 +468,7 @@ def rotation_closure(
         t = t_next[tid][c]
         if t is None:
             t = t_step(tid, c)
-        m = None if t < 0 else m_step(m, c, t_alive[t])
+        m = None if t < 0 else m_step(m, c, t_alive[t], g)
         return None if m is None else (t, m, g)
 
     def accepts(key: tuple[int, bytes, int]) -> bool:

@@ -5,7 +5,7 @@ import functools
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfcgf import fsa, genfun, lexnf
 from cfcgf.cfc_automaton import (
@@ -57,7 +57,10 @@ def test_state_census_frozen():
     assert build(INF_TRIANGLE).num_states == 14
     # states with no accepting future are cut while the closure is built
     assert build(preset_system("A6"), "cfc").num_states == 1924
-    assert build(preset_system("A7"), "pipeline").num_states == 695
+    assert build(preset_system("A7"), "pipeline").num_states == 611
+    # on a cycle the cut must follow the guide to remove anything
+    for name, expected in (("tA5", 992), ("tA6", 2765), ("tA7", 7477)):
+        assert build(preset_system(name), "pipeline").num_states == expected, name
 
 
 def test_builds_are_reproducible():
@@ -473,6 +476,17 @@ def test_acceptance_is_rotation_invariant_on_random_systems(system, data):
     a = build(system)
     shifted = word[1:] + word[:1]
     assert a.accepts(word) == a.accepts(shifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+@example(preset_system("tA4"))
+@example(preset_system("tA5"))
+def test_guided_cut_drops_no_accepted_word(system):
+    # the pipeline's cut reads the guide's future, so it must keep every
+    # word that the unguided closure, cut by the guide afterwards, accepts
+    cut = fsa.intersect(build(system, "cfc"), lexnf.build(system))
+    assert fsa.difference_witness(build(system, "pipeline"), cut) is None
 
 
 def _assert_lexnf_is_minimal(system):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cfcgf import cfc_automaton, fsa, lexnf
+from cfcgf import cfc_automaton, core, fsa, lexnf
 from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
 from cfcgf.errors import InternalError
@@ -82,15 +82,29 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
     rank_17 = json.dumps(
         {"matrix": [[1 if i == j else 2 for j in range(17)] for i in range(17)]}
     )
+    repeated = json.dumps({"generators": ["a", "a"], "matrix": [[1, 3], [3, 1]]})
     for argv, message in [
         (("series", "--system", '{"matrix": [1, 2]}', "--max-len", "3"),
          "list of rows"),
         (("genfun", "--system", str(not_utf8)), "UTF-8"),
         (("genfun", "--system", rank_17), "rank"),
+        (("genfun", "--system", repeated), "distinct"),
+        (("verify", "--system", repeated, "--max-len", "3"), "distinct"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and message in err
+
+
+def test_huge_preset_exits_2_without_building(capsys, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("matrix built before the rank check")
+
+    monkeypatch.setattr(core, "_path_matrix", no_matrix)
+    for name in ("A100000", "tA100000"):
+        code, _, err = run(capsys, "genfun", "--system", name)
+        assert code == 2
+        assert err.startswith("error:") and "rank" in err
 
 
 def test_tiny_state_budget_exits_3(capsys):

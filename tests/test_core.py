@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from cfcgf import core
 from cfcgf.core import (
     INF,
     CoxeterSystem,
@@ -148,6 +149,33 @@ def test_parse_enforces_rank_cap():
     mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     with pytest.raises(InputError):
         parse_system(json.dumps({"matrix": mat}))
+
+
+@pytest.mark.parametrize(
+    "name", ["A17", "B17", "D17", "tA16", "A100000", "D100000", "tA100000"]
+)
+def test_preset_rank_cap_is_checked_before_building(name, monkeypatch):
+    # a preset's matrix grows as the square of its rank, so a huge name
+    # must be refused from the name alone
+    def no_matrix(*args, **kwargs):
+        raise AssertionError(f"{name} built a matrix before the rank check")
+
+    monkeypatch.setattr(core, "_path_matrix", no_matrix)
+    with pytest.raises(InputError, match="rank"):
+        parse_system(name)
+
+
+def test_presets_at_the_rank_cap_parse():
+    for name in ("A16", "B16", "D16", "tA15"):
+        assert parse_system(name).rank == core.MAX_RANK, name
+
+
+def test_repeated_generator_names_are_rejected():
+    doc = {"generators": ["a", "a"], "matrix": [[1, 3], [3, 1]]}
+    with pytest.raises(InputError, match="distinct"):
+        parse_system(json.dumps(doc))
+    with pytest.raises(InputError, match="distinct"):
+        CoxeterSystem(((1, 2, 2), (2, 1, 2), (2, 2, 1)), names=("x", "y", "x"))
 
 
 def test_serialize_round_trip():
