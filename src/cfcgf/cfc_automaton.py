@@ -3,28 +3,19 @@ fully commutative (CFC) elements.
 
 A word is reduced and FC when no word in its commutation class repeats a
 letter back to back or holds a braid factor, an alternating s,t,s,... run
-of length m(s,t) for a finite label (Stembridge 1996).  The linear
-recognizer reads a word once, left to right, and its state holds three
-things:
-
-* e, the bitmask of legal next letters: those that no word of the
-  commutation class ends in;
-* the watch mask, the letters whose reading would complete a braid;
-* for each pair {s,t} with a finite label, the chain (last letter,
-  length): the alternating run of s and t that commutations can bring to
-  the end of the word.  A pair with an infinite label has no braid and
-  keeps nothing.
-
-What a letter does to e and the watch mask, and which chains it can
-change, depends only on the letter, so `letter_tables` works it out once
-per system and `transition` reads it from there; each chain the letter
-can change still goes through the one rule, `_chain_step`.
+of length m(s,t) for a finite label (Stembridge 1996).  That is a
+conjunction of conditions on one letter or one pair each, so the linear
+recognizer is the product of one small machine, a factor, per condition:
+a letter factor keeps one bit, whether its letter is legal, and a pair
+factor keeps the pair's chain and the braid watches the chain armed.
 
 The reduced words of CFC elements are the words whose every rotation is a
-reduced FC word (Boothby et al., J. Algebraic Combin. 2012), so the cyclic
-machines are `fsa.rotation_closure` of the linear one: without a guide it
-accepts every reduced CFC word, and guided by `lexnf.build` it keeps one
-word per element.  Both are exact by construction.
+reduced FC word (Boothby et al., J. Algebraic Combin. 2012).  Every
+rotation of w lies in an intersection of languages iff, for each of
+them, every rotation of w lies in it, so the cfc stage is the product of
+the factors' `fsa.rotation_closure`s.  The pipeline, one word per
+element, closes the whole linear recognizer guided by `lexnf.build`.
+Both are exact by construction, and each checks the other.
 """
 
 from __future__ import annotations
@@ -38,19 +29,12 @@ MODES = ("fc", "cfc", "pipeline")
 
 EMPTY_CHAIN = (-1, 0)  # (last letter, length)
 
-State = tuple[int, int, tuple[tuple[int, int], ...]]  # (e, watch mask, chains)
-# per letter: (legal letters added, watch letters kept,
-#              changed pairs as (index, pair, watch bit it arms))
-Tables = tuple[tuple[int, int, tuple[tuple[int, TrackedPair, int], ...]], ...]
+PairState = tuple[tuple[int, int], int]  # (chain, watch mask)
 
 
 def finite_pairs(system: CoxeterSystem) -> tuple[TrackedPair, ...]:
-    """The pairs whose chains the linear recognizer keeps, in state order."""
+    """The pairs with a finite label, one pair factor each."""
     return tuple(p for p in system.tracked_pairs() if not p.unbounded)
-
-
-def initial_state(system: CoxeterSystem) -> State:
-    return (1 << system.rank) - 1, 0, (EMPTY_CHAIN,) * len(finite_pairs(system))
 
 
 def _chain_step(
@@ -58,9 +42,8 @@ def _chain_step(
 ) -> tuple[tuple[int, int], bool]:
     """The pair's chain after reading s, and whether the chain now arms a
     watch on the pair's other letter (it is one letter short of a braid).
-    s fails to commute with at least one letter of the pair: a letter
-    commuting with both leaves the chain alone, and `letter_tables`
-    leaves such pairs out."""
+    s fails to commute with some letter of the pair: a letter commuting
+    with both leaves the chain alone."""
     last, n = chain
     if s == pair.s or s == pair.t:
         if s == last or n >= pair.m - 1:
@@ -72,71 +55,72 @@ def _chain_step(
     return EMPTY_CHAIN, False
 
 
-def letter_tables(system: CoxeterSystem) -> Tables:
-    """What each letter s does to a state, computed once per system: the
-    legal letters it adds (those not commuting with s), the watch letters
-    it keeps (those commuting with s), and the finite pairs whose chain
-    it can change, as (index in finite_pairs(system), pair, bit of the
-    watch the chain arms), the watch being on the pair's letter other
-    than s.  A letter commuting with both letters of a pair leaves the
-    pair's chain alone, so that pair is left out."""
-    pairs = finite_pairs(system)
-    tables = []
-    for s in system.generators:
-        adds = sum(1 << t for t in system.non_commuting(s))
-        keeps = sum(1 << t for t in system.generators if system.commutes(s, t))
-        changes = tuple(
-            (i, pair, 1 << (pair.t if s == pair.s else pair.s))
-            for i, pair in enumerate(pairs)
-            if not (system.commutes(pair.s, s) and system.commutes(pair.t, s))
-        )
-        tables.append((adds, keeps, changes))
-    return tuple(tables)
+def _letter_step(system: CoxeterSystem, s: int, legal: int, c: int) -> int | None:
+    """Whether s is legal after reading c, that is, whether no word of the
+    commutation class ends in s; None for the sink when c is s and s is
+    not legal."""
+    if c == s:
+        return 0 if legal else None
+    return legal if system.commutes(s, c) else 1
 
 
-def transition(
-    system: CoxeterSystem, tables: Tables, q: State, s: int
-) -> State | None:
-    """Successor of q on letter s, or None for the sink.  tables is
-    letter_tables(system); every chain s can change goes through
-    `_chain_step`."""
-    e, watch, chains = q
-    if not (e >> s) & 1 or (watch >> s) & 1:
+def letter_factor(system: CoxeterSystem, s: int) -> Dfa:
+    """The words that never read s where it is not legal; 3 states."""
+    return fsa.explore(1, lambda q, c: _letter_step(system, s, q, c),
+                       lambda q: True, system.names, DEFAULT_STATE_BUDGET)
+
+
+def _pair_step(
+    system: CoxeterSystem, pair: TrackedPair, q: PairState, c: int
+) -> PairState | None:
+    """The pair's (chain, watch mask) after reading c, or None for the sink.
+    The chain is the alternating run of the pair's letters that
+    commutations can bring to the end of the word, as (last letter,
+    length).  The watch mask holds the pair's letters that would complete
+    a braid; a watch stays while the letters read commute with it.
+    Reading a watched letter, or the chain's last letter, is not FC."""
+    chain, watch = q
+    if watch >> c & 1 or c == chain[0]:
         return None
-    adds, keeps, changes = tables[s]
-    e = (e | adds) & ~(1 << s)
-    watch &= keeps
-    stepped = list(chains)
-    for i, pair, other in changes:
-        stepped[i], arms = _chain_step(system, pair, chains[i], s)
-        if arms:
-            watch |= other
-    return e, watch, tuple(stepped)
+    watch &= sum(1 << x for x in (pair.s, pair.t) if system.commutes(x, c))
+    if system.commutes(pair.s, c) and system.commutes(pair.t, c):
+        return chain, watch
+    chain, arms = _chain_step(system, pair, chain, c)
+    return chain, watch | arms << (pair.t if c == pair.s else pair.s)
 
 
-def build(
-    system: CoxeterSystem,
-    mode: str = "cfc",
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> Dfa:
+def pair_factor(system: CoxeterSystem, pair: TrackedPair,
+                state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
+    """The words none of whose class holds a braid of pair or repeats the
+    chain's last letter."""
+    return fsa.explore((EMPTY_CHAIN, 0), lambda q, c: _pair_step(system, pair, q, c),
+                       lambda q: True, system.names, state_budget)
+
+
+def factors(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:
+    """The letter factors, then the pair factors; their product accepts the
+    reduced FC words."""
+    return ([letter_factor(system, s) for s in system.generators]
+            + [pair_factor(system, p, state_budget) for p in finite_pairs(system)])
+
+
+def build(system: CoxeterSystem, mode: str = "cfc",
+          state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """The machine for one stage: "fc" the linear recognizer, "cfc" its
     rotation closure (every reduced word of every CFC element), "pipeline"
     the closure guided by `lexnf.build` (one word per CFC element).
 
-    The linear recognizer is `fsa.explore` over `transition` from the
-    empty word, and every state but the sink accepts.
-    Each machine built on the way has at most state_budget states."""
+    The linear recognizer is the `fsa.product` of the `factors`, the cfc
+    stage the product of their minimized closures, and the pipeline the
+    guided closure of the linear recognizer, which the guide cuts as it is
+    built.  Each machine built on the way has at most state_budget states."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
-    tables = letter_tables(system)
-    a = fsa.explore(
-        initial_state(system),
-        lambda q, s: transition(system, tables, q, s),
-        lambda q: True,
-        system.names,
-        state_budget,
-    )
-    if mode == "fc":
-        return a
-    guide = lexnf.build(system, state_budget) if mode == "pipeline" else None
-    return fsa.rotation_closure(a, guide, state_budget)
+    parts = factors(system, state_budget)
+    if mode == "cfc":
+        parts = [fsa.minimize(fsa.rotation_closure(f, None, state_budget))
+                 for f in parts]
+    a = fsa.product(parts, state_budget)
+    if mode == "pipeline":
+        a = fsa.rotation_closure(a, lexnf.build(system, state_budget), state_budget)
+    return a

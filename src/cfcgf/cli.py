@@ -37,8 +37,11 @@ def _build_stage(system: CoxeterSystem, stage: str, state_budget: int) -> fsa.Df
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {out!r}: {e.strerror}") from None
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 

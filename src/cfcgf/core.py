@@ -148,9 +148,9 @@ def preset_system(name: str) -> CoxeterSystem:
         return CoxeterSystem(((1, lab), (lab, 1)))
     fam, k = mo.group(1), int(mo.group(2))
     _check_rank(k + 1 if fam == "tA" else k)
+    if fam in ("A", "tA") and k < 1:
+        raise InputError(f"{fam}<k> needs k >= 1")
     if fam == "A":
-        if k < 1:
-            raise InputError("A<k> needs k >= 1")
         return CoxeterSystem(tuple(tuple(r) for r in _path_matrix(k)))
     if fam == "B":
         if k < 2:

@@ -168,37 +168,6 @@ def _bfs_order(delta, initial) -> list[int]:
     return order
 
 
-def intersect(a: Dfa, b: Dfa) -> Dfa:
-    """Product automaton accepting the intersection.  States are reachable
-    pairs, numbered in discovery order.  No dead state is recorded: the
-    product may have several states with an empty language."""
-    if a.alphabet_size != b.alphabet_size:
-        raise InputError("cannot intersect automata over different alphabets")
-    k = a.alphabet_size
-    ids: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
-    pairs = [(a.initial, b.initial)]
-    delta: list[list[int]] = []
-    for p, q in pairs:
-        row = []
-        for c in range(k):
-            nxt = (a.delta[p][c], b.delta[q][c])
-            if nxt not in ids:
-                ids[nxt] = len(pairs)
-                pairs.append(nxt)
-            row.append(ids[nxt])
-        delta.append(row)
-    finals = frozenset(
-        i for i, (p, q) in enumerate(pairs) if p in a.finals and q in b.finals
-    )
-    return Dfa(
-        alphabet_size=k,
-        delta=tuple(tuple(r) for r in delta),
-        initial=0,
-        finals=finals,
-        letter_names=a.letter_names,
-    )
-
-
 def trim(dfa: Dfa) -> Dfa:
     """Drop states that are unreachable or cannot reach acceptance, then
     re-complete with a single dead state.  An empty language collapses to
@@ -313,6 +282,48 @@ def explore(start, step, accepts, letter_names, state_budget: int) -> Dfa:
         i for i, q in enumerate(states) if q is not None and accepts(q)
     )
     return Dfa(alphabet_size, tuple(delta), 0, finals, 1, letter_names)
+
+
+def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
+    """Machine for the intersection of the languages of one or more
+    machines over one alphabet, built by `explore`, so a letter that takes
+    some machine to its dead state leads to the sink, state 1, the dead
+    state.  A state is one int, the machines' states in mixed radix, and a
+    letter steps only the machines on which it is not the identity."""
+    k = machines[0].alphabet_size
+    if any(a.alphabet_size != k for a in machines):
+        raise InputError("cannot intersect automata over different alphabets")
+    weights = [1]
+    for a in machines[:-1]:
+        weights.append(weights[-1] * a.num_states)
+    # per letter and machine it moves: weight, size, and per state what
+    # the letter adds to the packed state, None where the machine dies
+    moved = []
+    for c in range(k):
+        cols = [(a, w, [row[c] for row in a.delta]) for a, w in zip(machines, weights)]
+        moved.append([(w, a.num_states, [None if r == a.dead else (r - q) * w
+                                         for q, r in enumerate(col)])
+                      for a, w, col in cols if col != list(range(a.num_states))])
+
+    def step(x: int, c: int) -> int | None:
+        for w, n, adds in moved[c]:
+            add = adds[x // w % n]
+            if add is None:
+                return None
+            x += add
+        return x
+
+    # a state holds no machine's dead state, but at the start, so only
+    # machines with some other rejecting state need checking after it
+    checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)
+              if len(a.finals) + (a.dead is not None) < a.num_states
+              or a.initial == a.dead]
+
+    def accepts(x: int) -> bool:
+        return all(x // w % n in finals for w, n, finals in checks)
+
+    start = sum(a.initial * w for a, w in zip(machines, weights))
+    return explore(start, step, accepts, machines[0].letter_names, state_budget)
 
 
 def rotation_closure(

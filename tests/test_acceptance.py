@@ -41,7 +41,7 @@ def pipeline(system, mode="cfc"):
     condition."""
     if mode == "cfc":
         return cfc_automaton.build(system, "pipeline")
-    return fsa.intersect(cfc_automaton.build(system, "fc"), lexnf.build(system))
+    return fsa.product([cfc_automaton.build(system, "fc"), lexnf.build(system)])
 
 
 def verdict(capsys, label, ok, detail=""):
@@ -146,7 +146,7 @@ def test_02_state_census_of_the_rank_4_cycle(capsys):
     oracle proves 100 words pairwise inequivalent, and minimizing the
     shipped machine leaves exactly 100 states.  This replaces an earlier
     target of 149 raw states, which no document in the repo sources, which
-    contradicts the raw count of 104 pinned in test_cfc_automaton, and
+    contradicted the raw count then pinned in test_cfc_automaton, and
     which is not the minimal size; a census of some 149-state construction
     would belong in a test of its own.  The certificate must also be able
     to fail: on a near miss, the minimal machine with the finality of one
@@ -282,28 +282,43 @@ def _end_chain(v, pair):
     return (v[-1], n) if n else cfc_automaton.EMPTY_CHAIN
 
 
+def _factor_states(system, w):
+    """The states of the letter factors and of the pair factors after w, or
+    None when some factor reaches its sink on the way."""
+    pairs = cfc_automaton.finite_pairs(system)
+    legal = [1] * system.rank
+    chains = [(cfc_automaton.EMPTY_CHAIN, 0)] * len(pairs)
+    for c in w:
+        legal = [cfc_automaton._letter_step(system, s, b, c)
+                 for s, b in enumerate(legal)]
+        chains = [cfc_automaton._pair_step(system, pair, q, c)
+                  for pair, q in zip(pairs, chains)]
+        if None in legal or None in chains:
+            return None
+    return legal, chains
+
+
 def test_07_state_components_mean_what_they_say(capsys):
-    """The legal-letter mask, the watch mask and the chains of the linear
-    recognizer all admit word-level readings; check them against brute
-    force on every word that does not die in the automaton."""
+    """Each letter factor's legal bit, the union of the pair factors'
+    watches and each pair factor's chain all admit word-level readings;
+    check them against brute force on every word that no factor sinks."""
     failures = []
     for name in ("A2", "A3", "B2", "B3", "I2:5", "tA2"):
         system = suite_system(name)
         pairs = cfc_automaton.finite_pairs(system)
-        tables = cfc_automaton.letter_tables(system)
         for n in range(9 if system.rank <= 3 else 7):
             for w in product(system.generators, repeat=n):
-                q = cfc_automaton.initial_state(system)
-                for s in w:
-                    q = cfc_automaton.transition(system, tables, q, s)
-                    if q is None:
-                        break
+                q = _factor_states(system, w)
                 if q is None:
                     continue
-                e, watch, chains = q
+                legal_bits, pair_states = q
+                watch = 0
+                for _, pair_watch in pair_states:
+                    watch |= pair_watch
+                chains = [chain for chain, _ in pair_states]
                 cls = commutation_class(system, w)
                 for s in system.generators:
-                    legal = bool((e >> s) & 1)
+                    legal = bool(legal_bits[s])
                     blocked = any(v and v[-1] == s for v in cls)
                     if legal == blocked:
                         failures.append((name, w, "legal-letter set", s))
@@ -345,13 +360,14 @@ def test_08_broken_variants_are_caught_by_verification(capsys):
 
 
 def test_09_guided_closure_equals_the_cut_closure(capsys):
-    """Exploring only normal forms changes nothing: the pipeline, the
-    rotation closure guided by the normal-form acceptor, accepts exactly
-    the normal forms that the unguided closure accepts."""
+    """Two independent constructions agree: the pipeline, the rotation
+    closure of the whole linear recognizer guided by the normal-form
+    acceptor, accepts exactly the normal forms that the product of the
+    closed factors accepts."""
     failures = []
     for name in SUITE:
         system = suite_system(name)
-        cut = fsa.intersect(cfc_automaton.build(system), lexnf.build(system))
+        cut = fsa.product([cfc_automaton.build(system), lexnf.build(system)])
         witness = fsa.difference_witness(pipeline(system), cut)
         if witness is not None:
             failures.append((name, witness))

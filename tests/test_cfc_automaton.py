@@ -10,11 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from cfcgf import fsa, genfun, lexnf
 from cfcgf.cfc_automaton import (
     EMPTY_CHAIN,
+    _letter_step,
+    _pair_step,
     build,
     finite_pairs,
-    initial_state,
-    letter_tables,
-    transition,
 )
 from cfcgf.core import CoxeterSystem, INF, cyclic_shifts, parse_system, preset_system
 from cfcgf.errors import BudgetError
@@ -32,22 +31,23 @@ TRIANGLE_4_INF_2 = parse_system(
 )
 
 # discovery-order builds are reproducible, so the census is a stable
-# artifact: raw states of the rotation closure, its sink included
+# artifact: raw states of the product of the closed factors, its sink
+# included
 EXPECTED_STATES = {
     "A1": 3,
     "A2": 6,
-    "A3": 17,
-    "A4": 66,
+    "A3": 15,
+    "A4": 43,
     "B2": 6,
-    "B3": 21,
-    "B4": 100,
-    "D4": 66,
+    "B3": 25,
+    "B4": 84,
+    "D4": 49,
     "I2:5": 10,
     "I2:6": 10,
     "I2:7": 14,
     "tA1": 8,
-    "tA2": 35,
-    "tA3": 178,
+    "tA2": 29,
+    "tA3": 100,
 }
 
 
@@ -55,8 +55,8 @@ def test_state_census_frozen():
     for name, expected in EXPECTED_STATES.items():
         assert build(preset_system(name)).num_states == expected, name
     assert build(INF_TRIANGLE).num_states == 14
+    assert build(preset_system("A6"), "cfc").num_states == 430
     # states with no accepting future are cut while the closure is built
-    assert build(preset_system("A6"), "cfc").num_states == 1924
     assert build(preset_system("A7"), "pipeline").num_states == 611
     # on a cycle the cut must follow the guide to remove anything
     for name, expected in (("tA5", 992), ("tA6", 2765), ("tA7", 7477)):
@@ -86,11 +86,47 @@ def test_a2_language_is_exactly_five_words():
     assert words == {(), (0,), (1,), (0, 1), (1, 0)}
 
 
+def _start(system):
+    """The factor states of the empty word: every letter legal, and every
+    pair with an empty chain and no watch."""
+    return (1,) * system.rank, ((EMPTY_CHAIN, 0),) * len(finite_pairs(system))
+
+
+def _step(system, q, c):
+    """The factor states q after reading c, each factor stepped by its own
+    rule, or None once some factor reaches its sink."""
+    legal, pairs = q
+    legal = tuple(_letter_step(system, s, b, c) for s, b in enumerate(legal))
+    pairs = tuple(_pair_step(system, pair, x, c)
+                  for pair, x in zip(finite_pairs(system), pairs))
+    return None if None in legal or None in pairs else (legal, pairs)
+
+
+def _meaning(q):
+    """(e, watch, chains) of the factor states q: the mask of legal
+    letters, the union of the pair watches, and the pair chains."""
+    legal, pairs = q
+    watch = 0
+    for _, pair_watch in pairs:
+        watch |= pair_watch
+    return (sum(b << s for s, b in enumerate(legal)), watch,
+            tuple(chain for chain, _ in pairs))
+
+
+def _state_after(system, word):
+    q = _start(system)
+    for s in word:
+        q = _step(system, q, s)
+        if q is None:
+            return None
+    return _meaning(q)
+
+
 def test_a2_state_after_one_letter():
     # only 1 may follow; no watch; the chain of the pair {0,1} is "0"
     system = preset_system("A2")
-    q = transition(system, letter_tables(system), initial_state(system), 0)
-    assert q == (0b10, 0, ((0, 1),))
+    assert _step(system, _start(system), 0) == ((0, 1), (((0, 1), 0),))
+    assert _state_after(system, (0,)) == (0b10, 0, ((0, 1),))
 
 
 def test_a2_accepts_01():
@@ -99,9 +135,9 @@ def test_a2_accepts_01():
 
 def test_i25_rejects_010_without_sinking():
     system = preset_system("I2:5")
-    q = initial_state(system)
+    q = _start(system)
     for s in (0, 1, 0):
-        q = transition(system, letter_tables(system), q, s)
+        q = _step(system, q, s)
         assert q is not None
     assert not build(system).accepts((0, 1, 0))
 
@@ -159,30 +195,31 @@ def test_accepted_language_is_rotation_closed():
 
 
 def _reachable_states(system, max_depth):
-    pairs = finite_pairs(system)
-    tables = letter_tables(system)
-    seen = {initial_state(system)}
+    seen = {_start(system)}
     frontier = list(seen)
     for _ in range(max_depth):
         nxt = []
         for q in frontier:
             for s in system.generators:
-                r = transition(system, tables, q, s)
+                r = _step(system, q, s)
                 if r is not None and r not in seen:
                     seen.add(r)
                     nxt.append(r)
         frontier = nxt
-    return pairs, seen
+    return seen
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "I2:5", "tA2", "tA3"])
 def test_chain_record_invariants(name):
     system = preset_system(name)
-    pairs, states = _reachable_states(system, 12)
-    for e, watch, chains in states:
+    pairs = finite_pairs(system)
+    for q in _reachable_states(system, 12):
+        e, watch, chains = _meaning(q)
         # a watched letter is legal: reading it is reduced but not FC
         assert watch & ~e == 0
-        for pair, (last, n) in zip(pairs, chains):
+        for pair, (last, n), (_, pair_watch) in zip(pairs, chains, q[1]):
+            # a pair watches only its own letters
+            assert pair_watch & ~(1 << pair.s | 1 << pair.t) == 0
             assert 0 <= n <= pair.m - 1
             assert (n == 0) == ((last, n) == EMPTY_CHAIN)
             if n:
@@ -191,14 +228,7 @@ def test_chain_record_invariants(name):
                 assert not (e >> last) & 1
             if n == pair.m - 1:
                 other = pair.t if last == pair.s else pair.s
-                assert (watch >> other) & 1
-
-
-def _state_after(system, word):
-    q = initial_state(system)
-    for s in word:
-        q = transition(system, letter_tables(system), q, s)
-    return q
+                assert (pair_watch >> other) & 1
 
 
 def test_watch_flag_semantics_differ_from_marking_of_last_letter():
@@ -351,22 +381,27 @@ def test_mixed_edge_counts_agree_with_brute_force():
 def test_state_budget_is_enforced():
     with pytest.raises(BudgetError):
         build(preset_system("B3"), state_budget=5)
+    # a pair factor grows with its label, and is built under the budget too
+    with pytest.raises(BudgetError):
+        build(preset_system("I2:1000000"), "fc", state_budget=100)
 
 
 @pytest.mark.parametrize("mode", ["cfc", "fc"])
 def test_state_budget_counts_every_state(mode):
-    # B3 needs 21 states in cfc mode and 16 in fc mode, the sink among them
-    states = {"cfc": 21, "fc": 16}[mode]
-    assert build(preset_system("B3"), mode, state_budget=states).num_states == states
+    # in fc mode the largest machine B3 needs is the product, 16 states; in
+    # cfc mode it is the raw closure of the label-4 pair factor, 89 states,
+    # and the product has 25.  The sink is counted in each.
+    budget, states = {"cfc": (89, 25), "fc": (16, 16)}[mode]
+    assert build(preset_system("B3"), mode, state_budget=budget).num_states == states
     with pytest.raises(BudgetError):
-        build(preset_system("B3"), mode, state_budget=states - 1)
+        build(preset_system("B3"), mode, state_budget=budget - 1)
 
 
 def _closure_over_transition(system):
-    """Reference for the linear recognizer: a plain breadth-first closure,
-    one `transition` call per state and letter, with the same numbering."""
-    tables = letter_tables(system)
-    start = initial_state(system)
+    """Reference for the linear recognizer: a plain breadth-first product
+    of the factor steps, its states tuples, one `_step` call per state and
+    letter, with the same numbering."""
+    start = _start(system)
     numbered = {start: 0}
     order = [start, None]  # id 1 is the sink
     delta = []
@@ -376,7 +411,7 @@ def _closure_over_transition(system):
             continue
         row = []
         for s in system.generators:
-            r = transition(system, tables, q, s)
+            r = _step(system, q, s)
             if r is None:
                 row.append(1)
                 continue
@@ -389,13 +424,8 @@ def _closure_over_transition(system):
 
 
 def _survives_every_rotation(system, word):
-    for rotated in cyclic_shifts(word):
-        q = initial_state(system)
-        for s in rotated:
-            q = transition(system, letter_tables(system), q, s)
-            if q is None:
-                return False
-    return True
+    return all(_state_after(system, rotated) is not None
+               for rotated in cyclic_shifts(word))
 
 
 @pytest.mark.parametrize("mode", ["cfc", "fc"])
@@ -412,7 +442,7 @@ def test_build_equals_the_closure_over_transition(system, mode):
         assert (linear.delta, linear.finals) == _closure_over_transition(system)
         return
     # the cyclic machine accepts exactly the words all of whose rotations
-    # `transition` reads without reaching the sink
+    # the factor steps read without reaching a sink
     cyclic = build(system, "cfc")
     want = [
         w for w in fsa.accepted_words(linear, 6)
@@ -482,10 +512,16 @@ def test_acceptance_is_rotation_invariant_on_random_systems(system, data):
 @given(small_systems())
 @example(preset_system("tA4"))
 @example(preset_system("tA5"))
+@example(preset_system("tA6"))
+@example(preset_system("A7"))
+@example(preset_system("B6"))
+@example(preset_system("D6"))
 def test_guided_cut_drops_no_accepted_word(system):
-    # the pipeline's cut reads the guide's future, so it must keep every
-    # word that the unguided closure, cut by the guide afterwards, accepts
-    cut = fsa.intersect(build(system, "cfc"), lexnf.build(system))
+    # two independent constructions of one language: the pipeline closes
+    # the whole linear recognizer under the guide and cuts by the guide's
+    # future, and the cfc stage closes each factor alone and is cut by
+    # the guide afterwards
+    cut = fsa.product([build(system, "cfc"), lexnf.build(system)])
     assert fsa.difference_witness(build(system, "pipeline"), cut) is None
 
 

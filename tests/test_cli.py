@@ -1,9 +1,15 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfcgf
 from cfcgf import cfc_automaton, core, fsa, lexnf
 from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
@@ -25,8 +31,8 @@ def test_verify_agreement(capsys):
 def linear_pipeline(system):
     # checks no cyclic condition, so it accepts 010, whose rotation 001
     # is not reduced
-    return fsa.intersect(
-        cfc_automaton.build(system, mode="fc"), lexnf.build(system)
+    return fsa.product(
+        [cfc_automaton.build(system, mode="fc"), lexnf.build(system)]
     )
 
 
@@ -139,6 +145,38 @@ def test_broken_pair_rule_exits_4(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    # exit 1 is kept for a verify mismatch, so a path that cannot be
+    # written is an input error, reported without a traceback
+    target = str(tmp_path / "missing" / "x.json")
+    for argv in [
+        ("genfun", "--system", "A2", "--out", target),
+        ("series", "--system", "A2", "--max-len", "3", "--out", target),
+        ("automaton", "--system", "A2", "--out", target),
+        ("automaton", "--system", "A2", "--dot", target),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and target in err, argv
+
+
+def test_cfc_stage_of_the_rank_8_cycle_fits_in_256_mb(tmp_path):
+    # the cap is set in the child only; the product of the closed factors
+    # needs about 30 MB, where closing the whole linear recognizer ran out
+    def cap():
+        limit = 256 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cfcgf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "cfcgf.cli", "automaton", "--system", "tA7",
+         "--stage", "cfc", "--out", str(tmp_path / "ta7.json")],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_missing_required_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--system", "A2"])
@@ -217,7 +255,7 @@ def test_genfun_counts_to_twice_the_minimized_states(capsys, tmp_path):
     code, _, _ = run(capsys, "genfun", "--system", "tA3", "--out", str(target))
     assert code == 0
     system = preset_system("tA3")
-    raw = fsa.intersect(cfc_automaton.build(system), lexnf.build(system))
+    raw = fsa.product([cfc_automaton.build(system), lexnf.build(system)])
     m = fsa.minimize(fsa.trim(raw)).num_states
     doc = json.loads(target.read_text())
     # the horizon is 2*m+2, so the counts cover lengths 0..2m+2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +123,17 @@ def test_preset_affine_a_is_cycle():
 @pytest.mark.parametrize("name", ["A0", "B1", "D2", "tA0", "E8", "I2:x", "", "A"])
 def test_preset_rejects_unknown(name):
     with pytest.raises(InputError):
+        preset_system(name)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("A0", "A<k> needs k >= 1"),
+    ("B1", "B<k> needs k >= 2"),
+    ("D2", "D<k> needs k >= 3"),
+    ("tA0", "tA<k> needs k >= 1"),
+])
+def test_preset_too_small_names_its_family_bound(name, message):
+    with pytest.raises(InputError, match=re.escape(message)):
         preset_system(name)
 
 

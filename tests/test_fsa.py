@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfcgf import cfc_automaton
+from cfcgf import cfc_automaton, fsa
 from cfcgf.core import parse_system
 from cfcgf.errors import InputError
 from cfcgf.fsa import (
@@ -16,7 +16,6 @@ from cfcgf.fsa import (
     coreachable,
     difference_witness,
     equivalent,
-    intersect,
     is_subset,
     minimize,
     rotation_closure,
@@ -60,15 +59,28 @@ def test_accepts():
 
 def test_intersect_matches_conjunction():
     a, b = even_ones(), ends_with_zero()
-    c = intersect(a, b)
+    c = fsa.product([a, b])
     for w in [(w1, w2, w3) for w1 in (0, 1) for w2 in (0, 1) for w3 in (0, 1)]:
         assert c.accepts(w) == (a.accepts(w) and b.accepts(w))
     assert not c.accepts(())
 
 
+def test_product_sends_any_dead_machine_to_its_one_sink():
+    # no 11, with a dead state, and even_ones, which letter 0 does not move
+    no_11 = Dfa(2, ((0, 1), (0, 2), (2, 2)), 0, frozenset({0, 1}), 2)
+    parts = [even_ones(), no_11, ends_with_zero()]
+    c = fsa.product(parts)
+    assert c.dead == 1
+    assert c.delta[c.delta[c.initial][1]][1] == 1
+    assert c.num_states == fsa.minimize(c).num_states == 6
+    for n in range(7):
+        for w in product((0, 1), repeat=n):
+            assert c.accepts(w) == all(a.accepts(w) for a in parts), w
+
+
 def test_intersect_alphabet_mismatch():
     with pytest.raises(InputError):
-        intersect(even_ones(), Dfa(3, ((0, 0, 0),), 0, frozenset({0})))
+        fsa.product([even_ones(), Dfa(3, ((0, 0, 0),), 0, frozenset({0}))])
 
 
 def test_trim_drops_unreachable_and_hopeless():
@@ -119,14 +131,14 @@ def test_difference_witness_shortest_lex():
     b = Dfa(2, ((0, 1), (1, 0)), 0, frozenset({1}))  # odd number of 1s
     assert difference_witness(a, b) == ()
     assert difference_witness(a, a) is None
-    c = intersect(a, ends_with_zero())
+    c = fsa.product([a, ends_with_zero()])
     # first disagreement with a: the empty word is accepted by a only
     assert difference_witness(a, c) == ()
 
 
 def test_subset():
     a, b = even_ones(), ends_with_zero()
-    c = intersect(a, b)
+    c = fsa.product([a, b])
     assert is_subset(c, a) and is_subset(c, b)
     assert not is_subset(a, c)
     assert subset_counterexample(a, c) == ()
@@ -256,8 +268,12 @@ def test_trim_preserves_language(d):
 def test_intersection_is_lower_bound(a, b):
     if a.alphabet_size != b.alphabet_size:
         return
-    c = intersect(a, b)
+    c = fsa.product([a, b])
     assert is_subset(c, a) and is_subset(c, b)
+    # and no more: every short word both accept is accepted
+    for n in range(5):
+        for w in product(range(a.alphabet_size), repeat=n):
+            assert c.accepts(w) == (a.accepts(w) and b.accepts(w)), w
 
 
 @given(dfas(), st.data())

@@ -1,5 +1,6 @@
 """Series extraction: exact counting, recurrence recovery, rational forms."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -129,11 +130,13 @@ def test_counting_is_invariant_under_trim_and_minimize():
 
 
 def test_counting_skips_dead_states_without_a_hint():
-    # the product of the B3 closure with the normal-form acceptor has 24
-    # states that cannot reach acceptance, and intersect names none of
-    # them dead; accepted_words then walks all words
+    # the product of the B3 closure with the normal-form acceptor has 12
+    # states that cannot reach acceptance; with its sink no longer named
+    # dead, none is, and accepted_words then walks all words
     system = preset_system("B3")
-    a = fsa.intersect(cfc_automaton.build(system), lexnf.build(system))
+    a = dataclasses.replace(
+        fsa.product([cfc_automaton.build(system), lexnf.build(system)]), dead=None
+    )
     assert a.dead is None
     assert a.num_states - len(fsa.coreachable(a)) > 1
     sizes = [0] * 9
