@@ -64,7 +64,7 @@ def cmd_automaton(args) -> int:
 def cmd_series(args) -> int:
     system = _load_system(args.system)
     stage = "cfc" if args.per_expression else "pipeline"
-    a = fsa.minimize(fsa.trim(_build_stage(system, stage, args.state_budget)))
+    a = fsa.minimize(_build_stage(system, stage, args.state_budget))
     coeffs = genfun.count_by_length(a, args.max_len)
     doc = {"coeffs": [str(c) for c in coeffs]}
     _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -105,35 +105,34 @@ def verify(
     max_len: int,
     class_budget: int = oracle.DEFAULT_CLASS_BUDGET,
 ) -> tuple[int, int, int, fsa.Word, str] | None:
-    """Compare the per-length counts of dfa, which should accept one word
-    per CFC element, with the brute-force counts up to max_len.
+    """Compare the words of length at most max_len that dfa accepts, one
+    per CFC element if it is right, with the brute-force representatives.
 
-    Returns None when every length agrees, and otherwise (length,
-    automaton count, oracle count, witness, side) for the shortest length
-    that does not: the witness is the least word of that length accepted
-    by exactly one side, and side says which ("automaton only" or "oracle
-    only")."""
-    # trimmed, the machine has one dead state, so the witness search below
-    # walks only prefixes of accepted words instead of every word
-    a = fsa.trim(dfa)
-    got = genfun.count_by_length(a, max_len)
+    Returns None when they agree, and otherwise (length, automaton count,
+    oracle count, witness, side): the witness is the shortest, then least,
+    word accepted by exactly one side, side says which ("automaton only"
+    or "oracle only"), and the counts, which may be equal, are those of
+    the witness's length."""
     report = oracle.count_elements(
         system, max_len, kind="cfc", budget=class_budget, witnesses=True
     )
-    want = report.counts()
-    for k in range(max_len + 1):
-        if got[k] == want[k]:
-            continue
-        assert report.witnesses is not None
-        machine = {
-            w for w in fsa.accepted_words(a, k) if len(w) == k
-        }
-        hand = set(report.witnesses.get(k, []))
-        diff = sorted(machine ^ hand)
-        witness = diff[0] if diff else ()
-        side = "automaton only" if witness in machine else "oracle only"
-        return k, got[k], want[k], witness, side
-    return None
+    assert report.witnesses is not None
+    words = {w for ws in report.witnesses.values() for w in ws}
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+
+    def step(p: fsa.Word, c: int) -> fsa.Word | None:
+        return p + (c,) if p + (c,) in prefixes else None
+
+    # the prefix trie of words: one state per prefix, the rest in the sink
+    trie = fsa.explore((), step, words.__contains__, system.names,
+                       len(prefixes) + 1)
+    witness = fsa.difference_witness(dfa, trie)
+    if witness is None or len(witness) > max_len:
+        return None
+    k = len(witness)
+    side = "oracle only" if witness in words else "automaton only"
+    got = genfun.count_by_length(dfa, k)[k]
+    return k, got, report.counts()[k], witness, side
 
 
 def cmd_verify(args) -> int:

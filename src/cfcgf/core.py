@@ -80,10 +80,6 @@ class CoxeterSystem:
         """True iff s and t are distinct and st = ts (edge label 2)."""
         return s != t and self.matrix[s][t] == 2
 
-    def non_commuting(self, s: int) -> tuple[int, ...]:
-        """Generators t != s with m[s][t] >= 3 (including infinity)."""
-        return tuple(t for t in self.generators if t != s and self.matrix[s][t] != 2)
-
     def tracked_pairs(self) -> tuple[TrackedPair, ...]:
         """All pairs s < t with m[s][t] >= 3, i.e. pairs carrying a relation
         longer than a commutation (or none at all, when the label is infinite)."""

@@ -495,10 +495,10 @@ def rotation_closure(
                    accepts, a.letter_names, state_budget)
 
 
-def _shortest_pair_word(a: Dfa, b: Dfa, hit) -> Word | None:
-    """Shortest, then lexicographically least, word that drives a and b run
-    side by side to states p, q with hit(p, q), or None when no reachable
-    pair of states is a hit."""
+def difference_witness(a: Dfa, b: Dfa) -> Word | None:
+    """Shortest, then lexicographically least, word accepted by exactly one
+    of the two, or None when the languages agree.  A breadth-first search
+    over the pairs of states that a and b, run side by side, reach."""
     if a.alphabet_size != b.alphabet_size:
         raise InputError("cannot compare automata over different alphabets")
     start = (a.initial, b.initial)
@@ -506,7 +506,7 @@ def _shortest_pair_word(a: Dfa, b: Dfa, hit) -> Word | None:
     queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
     while queue:
         (p, q), word = queue.popleft()
-        if hit(p, q):
+        if (p in a.finals) != (q in b.finals):
             return word
         for c in range(a.alphabet_size):
             nxt = (a.delta[p][c], b.delta[q][c])
@@ -516,20 +516,11 @@ def _shortest_pair_word(a: Dfa, b: Dfa, hit) -> Word | None:
     return None
 
 
-def difference_witness(a: Dfa, b: Dfa) -> Word | None:
-    """Shortest word accepted by exactly one of the two, or None when the
-    languages agree.  Ties break lexicographically."""
-    return _shortest_pair_word(
-        a, b, lambda p, q: (p in a.finals) != (q in b.finals)
-    )
-
-
 def subset_counterexample(a: Dfa, b: Dfa) -> Word | None:
-    """Shortest word accepted by a but not by b, or None if L(a) <= L(b).
-    Ties break lexicographically."""
-    return _shortest_pair_word(
-        a, b, lambda p, q: p in a.finals and q not in b.finals
-    )
+    """Shortest, then least, word accepted by a but not by b, or None if
+    L(a) <= L(b): L(a & b) lies in L(a), so it differs from L(a) exactly
+    on L(a) - L(b)."""
+    return difference_witness(product([a, b]), a)
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import fsa
 from .errors import InternalError
@@ -138,20 +137,11 @@ def to_rational(seq, rec: tuple[Fraction, ...] | None = None) -> RationalGF:
         raise InternalError("recurrence does not annihilate the series tail")
     num_q = _strip(prod[:order] if order else prod[:])
     den_q = _strip(den_q)
-    scale = 1
-    for c in num_q + den_q:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    num = [int(c * scale) for c in num_q]
-    den = [int(c * scale) for c in den_q]
-    content = 0
-    for c in num + den:
-        content = gcd(content, c)
-    if content > 1:
-        num = [c // content for c in num]
-        den = [c // content for c in den]
-    if den[0] != 1:
+    # den_q[0] is 1, so the pair in lowest integer terms keeps den[0] = 1
+    # only when every coefficient is an integer already
+    if any(c.denominator != 1 for c in num_q + den_q):
         raise InternalError("denominator failed to normalize to constant 1")
-    gf = RationalGF(tuple(num), tuple(den))
+    gf = RationalGF(tuple(map(int, num_q)), tuple(map(int, den_q)))
     if gf.expand(len(s) - 1) != [int(x) for x in seq]:
         raise InternalError("re-expansion does not reproduce the series")
     return gf
@@ -160,13 +150,14 @@ def to_rational(seq, rec: tuple[Fraction, ...] | None = None) -> RationalGF:
 def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:
     """Length series prefix and generating function of a DFA's language.
 
-    Counting runs on m = minimize(trim(a)), the smallest machine with the
-    same language and therefore the same series, to the horizon 2*m+2
+    Counting runs on m = minimize(a), the smallest machine with the same
+    language and therefore the same series, to the horizon 2*m+2
     (lengths 0..2m+2).  Any DFA series satisfies a recurrence of order at
     most its state count, and Berlekamp-Massey needs only twice the order
     in terms to fix it, so the recovered recurrence is certainly minimal.
-    Trimming first keeps minimize off the dead states of a raw product."""
-    m = fsa.minimize(fsa.trim(a))
+    Refinement merges every state with an empty language into one block,
+    so trimming first would give the same machine."""
+    m = fsa.minimize(a)
     seq = count_by_length(m, 2 * m.num_states + 2)
     return seq, to_rational(seq)
 

@@ -550,3 +550,11 @@ def test_lexnf_build_is_minimal(system):
 @given(small_systems())
 def test_lexnf_build_is_minimal_on_random_systems(system):
     _assert_lexnf_is_minimal(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_minimize_needs_no_trim_first_on_random_systems(system):
+    for stage in ("pipeline", "fc"):
+        a = build(system, stage)
+        assert fsa.minimize(a) == fsa.minimize(fsa.trim(a))

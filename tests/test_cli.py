@@ -70,6 +70,66 @@ def test_verify_reports_words_only_the_oracle_accepts(capsys, monkeypatch):
     )
 
 
+def reversed_pipeline(system):
+    # letters c -> rank-1-c: the lex-greatest normal form of each element
+    # instead of the least one, so every length has the right count
+    a = cfc_automaton.build(system, "pipeline")
+    return fsa.Dfa(a.alphabet_size, tuple(row[::-1] for row in a.delta),
+                   a.initial, a.finals, a.dead, a.letter_names)
+
+
+def test_verify_compares_words_not_counts():
+    system = preset_system("A3")
+    assert verify(system, reversed_pipeline(system), 6) == (
+        2, 5, 5, (0, 2), "oracle only"
+    )
+
+
+def test_verify_reports_a_mismatch_with_equal_counts(capsys, monkeypatch):
+    machine = reversed_pipeline(preset_system("A3"))
+    monkeypatch.setattr(cfc_automaton, "build", lambda *args: machine)
+    code, out, _ = run(capsys, "verify", "--system", "A3", "--max-len", "6")
+    assert code == 1
+    assert out == (
+        "mismatch at length 2: automaton 5 vs oracle 5\n"
+        "witness [0,2] (oracle only)\n"
+    )
+
+
+VERIFY_ALL_WORDS = """
+from cfcgf import cfc_automaton, fsa
+from cfcgf.cli import verify
+from cfcgf.core import preset_system
+
+system = preset_system("tA3")
+a = cfc_automaton.build(system, "pipeline")
+# the pipeline's words plus every word of length 10
+machine = fsa.explore(
+    (a.initial, 0), lambda q, c: (a.delta[q[0]][c], min(q[1] + 1, 11)),
+    lambda q: q[0] in a.finals or q[1] == 10, a.letter_names, 10**6)
+print(verify(system, machine, 10))
+"""
+
+
+def test_verify_mismatch_on_a_huge_language_fits_in_256_mb():
+    # the cap is set in the child only; listing the machine's 4^10 words
+    # of length 10 to find the witness ran out of memory
+    def cap():
+        limit = 256 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cfcgf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", VERIFY_ALL_WORDS],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr(
+        (10, 4**10, 0, (0,) * 10, "automaton only")
+    ) + "\n"
+
+
 def test_unknown_system_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--system", "Z9", "--max-len", "3")
     assert code == 2

@@ -263,6 +263,14 @@ def test_trim_preserves_language(d):
     assert difference_witness(d, trim(d)) is None
 
 
+@given(dfas())
+@settings(max_examples=80, deadline=None)
+def test_minimize_needs_no_trim_first(d):
+    # every state with an empty language falls into one block, numbered
+    # in breadth-first order like the rest
+    assert minimize(d) == minimize(trim(d))
+
+
 @given(dfas(), dfas())
 @settings(max_examples=40, deadline=None)
 def test_intersection_is_lower_bound(a, b):

@@ -67,6 +67,12 @@ def test_explicit_recurrence_must_annihilate():
         to_rational([1, 2, 2, 2], rec=(Fraction(2),))
 
 
+def test_rational_form_needs_integer_coefficients():
+    # 2 + x/2 + x^2/4 + ... = 2/(1 - x/2): the denominator is not integral
+    with pytest.raises(InternalError):
+        to_rational([2, 1], rec=(Fraction(1, 2),))
+
+
 def test_expansion_guards_against_non_integer_coefficients():
     with pytest.raises(InternalError):
         RationalGF((1,), (2,)).expand(3)
@@ -121,6 +127,18 @@ def test_reduced_machine_gives_the_raw_machines_answer(name):
     assert m < raw.num_states or name == "inf"
     assert seq == count_by_length(raw, 2 * m + 2)
     assert gf == to_rational(count_by_length(raw, 2 * raw.num_states + 2))
+
+
+@pytest.mark.parametrize("stage", ["pipeline", "fc"])
+@pytest.mark.parametrize(
+    "name", ["A1", "A3", "A6", "B3", "B5", "D5", "I2:5", "I2:inf", "tA1",
+             "tA3", "tA4", *TRIANGLES])
+def test_minimize_needs_no_trim_first(name, stage):
+    # counted_genfun and `series` minimize the raw machine: refinement
+    # merges the states with an empty language, so trim adds nothing
+    system = parse_system(TRIANGLES[name]) if name in TRIANGLES else preset_system(name)
+    a = cfc_automaton.build(system, stage)
+    assert fsa.minimize(a) == fsa.minimize(fsa.trim(a))
 
 
 def test_counting_is_invariant_under_trim_and_minimize():
