@@ -21,7 +21,7 @@ Both are exact by construction, and each checks the other.
 from __future__ import annotations
 
 from . import fsa, lexnf
-from .core import CoxeterSystem, TrackedPair
+from .core import INF, CoxeterSystem, TrackedPair
 from .errors import InternalError
 from .fsa import DEFAULT_STATE_BUDGET, Dfa
 
@@ -33,8 +33,11 @@ PairState = tuple[tuple[int, int], int]  # (chain, watch mask)
 
 
 def finite_pairs(system: CoxeterSystem) -> tuple[TrackedPair, ...]:
-    """The pairs with a finite label, one pair factor each."""
-    return tuple(p for p in system.tracked_pairs() if not p.unbounded)
+    """The pairs s < t with a finite label m(s, t) >= 3, one pair factor
+    each: a label 2 is a commutation, and an infinite one no relation."""
+    return tuple(TrackedPair(s, t, system.m(s, t))
+                 for s in system.generators for t in range(s + 1, system.rank)
+                 if system.m(s, t) not in (2, INF))
 
 
 def _chain_step(

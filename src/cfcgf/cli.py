@@ -64,7 +64,7 @@ def cmd_automaton(args) -> int:
 def cmd_series(args) -> int:
     system = _load_system(args.system)
     stage = "cfc" if args.per_expression else "pipeline"
-    a = fsa.minimize(_build_stage(system, stage, args.state_budget))
+    a = fsa.series_quotient(_build_stage(system, stage, args.state_budget))
     coeffs = genfun.count_by_length(a, args.max_len)
     doc = {"coeffs": [str(c) for c in coeffs]}
     _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)

@@ -21,15 +21,11 @@ MAX_RANK = 16
 
 
 class TrackedPair(NamedTuple):
-    """Unordered non-commuting pair, normalized s < t."""
+    """Pair of generators s < t with a finite label m >= 3."""
 
     s: int
     t: int
-    m: int | float
-
-    @property
-    def unbounded(self) -> bool:
-        return self.m == INF
+    m: int
 
 
 @dataclass(frozen=True)
@@ -79,16 +75,6 @@ class CoxeterSystem:
     def commutes(self, s: int, t: int) -> bool:
         """True iff s and t are distinct and st = ts (edge label 2)."""
         return s != t and self.matrix[s][t] == 2
-
-    def tracked_pairs(self) -> tuple[TrackedPair, ...]:
-        """All pairs s < t with m[s][t] >= 3, i.e. pairs carrying a relation
-        longer than a commutation (or none at all, when the label is infinite)."""
-        out = []
-        for s in self.generators:
-            for t in range(s + 1, self.rank):
-                if self.matrix[s][t] != 2:
-                    out.append(TrackedPair(s, t, self.matrix[s][t]))
-        return tuple(out)
 
 
 def cyclic_shifts(word: tuple[int, ...]) -> list[tuple[int, ...]]:

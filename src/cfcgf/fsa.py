@@ -5,8 +5,8 @@ letters a.  ``dead``, when set, names a rejecting state that every letter
 maps to itself, so no word through it is accepted; the constructor checks
 this.  Other states may have an empty language without being named.
 Operations renumber states by breadth-first discovery from the initial state
-(letters in increasing order), which makes their output deterministic and
-therefore byte-for-byte reproducible.
+(letters in increasing order; `series_quotient` by that of its first
+members), which makes their output deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -171,18 +171,14 @@ def _bfs_order(delta, initial) -> list[int]:
 def trim(dfa: Dfa) -> Dfa:
     """Drop states that are unreachable or cannot reach acceptance, then
     re-complete with a single dead state.  An empty language collapses to
-    one rejecting state."""
-    keep = coreachable(dfa)  # the walk below reaches only reachable states
+    one rejecting state.  The kept states are numbered in breadth-first
+    order: a dropped state leads only to dropped states, so each kept
+    state is first found from a kept one, as in a walk over them alone."""
+    keep = coreachable(dfa)
     if dfa.initial not in keep:
         row = (0,) * dfa.alphabet_size
         return Dfa(dfa.alphabet_size, (row,), 0, frozenset(), 0, dfa.letter_names)
-    order = [dfa.initial]
-    seen = {dfa.initial}
-    for q in order:
-        for r in dfa.delta[q]:
-            if r in keep and r not in seen:
-                seen.add(r)
-                order.append(r)
+    order = [q for q in _bfs_order(dfa.delta, dfa.initial) if q in keep]
     ids = {q: i for i, q in enumerate(order)}
     need_dead = any(r not in keep for q in order for r in dfa.delta[q])
     dead = len(order) if need_dead else None
@@ -197,20 +193,18 @@ def trim(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet_size, tuple(delta), 0, finals, dead, dfa.letter_names)
 
 
-def minimize(dfa: Dfa) -> Dfa:
+def _refine(dfa: Dfa, as_multiset: bool) -> Dfa:
     """Moore refinement on the reachable part (Moore 1956).  The states
     start in two blocks, accepting and rejecting.  Each round gives every
-    state the id of its signature, the tuple of its block and the blocks
-    its letters lead to, and the rounds stop when one adds no block.
-    After round i two states share a block iff no suffix of at most i
-    letters tells them apart, so there is one round more than the longest
-    shortest distinguishing suffix has letters (fewer than n), and the
-    cost is O(rounds * n * k) for n states and k letters.  Each
-    letter's transitions are kept as a flat array.  Output states are
-    numbered by breadth-first discovery, so machines with the same
-    language give the same output.  A minimal machine has at most one
-    state with an empty language, a rejecting state whose letters all
-    lead back to it; when there is one, it is the dead state."""
+    state the id of its signature: its block and the blocks its letters
+    lead to, in letter order or, as_multiset, sorted.  Rounds refine, and
+    stop when one adds no block, so at most n of them, each O(n * k) for
+    n states and k letters (times log k when sorting).  Then members of a
+    block have equal signatures, and no fewer blocks that keep accepting
+    and rejecting states apart have that property.  A block's letters
+    lead where one member's do; block ids follow the first members in
+    breadth-first order.  A rejecting block that only leads to itself is
+    dead."""
     order = _bfs_order(dfa.delta, dfa.initial)
     ids = [-1] * dfa.num_states
     for i, q in enumerate(order):
@@ -222,18 +216,15 @@ def minimize(dfa: Dfa) -> Dfa:
     block = [int(q in finals) for q in range(len(order))]
     count = len(set(block))
     while True:
+        sigs = zip(block, *(map(block.__getitem__, col) for col in cols))
+        if as_multiset:
+            sigs = (sig[:1] + tuple(sorted(sig[1:])) for sig in sigs)
         signatures: dict[tuple[int, ...], int] = {}
-        block = [
-            signatures.setdefault(sig, len(signatures))
-            for sig in zip(block, *(map(block.__getitem__, col) for col in cols))
-        ]
+        block = [signatures.setdefault(sig, len(signatures)) for sig in sigs]
         if len(signatures) == count:
             break
         count = len(signatures)
 
-    # Block ids follow the first members in breadth-first order, and the
-    # other members of a block lead to the blocks its first member leads
-    # to, so the ids already number the blocks in breadth-first order.
     reps = [0] * count  # any member of each block
     for q, b in enumerate(block):
         reps[b] = q
@@ -242,6 +233,30 @@ def minimize(dfa: Dfa) -> Dfa:
     dead = next((b for b, row in enumerate(new_delta)
                  if b not in new_finals and all(r == b for r in row)), None)
     return Dfa(k, new_delta, 0, new_finals, dead, dfa.letter_names)
+
+
+def minimize(dfa: Dfa) -> Dfa:
+    """The smallest machine with dfa's language (`_refine` by letter).
+    After round i two states share a block iff no suffix of at most i
+    letters tells them apart.  Members of a block lead to the same blocks,
+    so the output is numbered by breadth-first discovery and machines with
+    the same language give the same output.  Its one state with an empty
+    language, if any, is its dead state."""
+    return _refine(dfa, False)
+
+
+def series_quotient(dfa: Dfa) -> Dfa:
+    """A machine with dfa's length series but, in general, not its
+    language: `_refine` with sorted successor blocks, which lumps the
+    transfer matrix (Stanley, EC1 4.7).  Language-equivalent states have
+    equal signatures, so it has no more states than `minimize(dfa)`.
+    Members of a block accept equally many words of each length n, by
+    induction: at n = 0 they agree on acceptance, and the count at n + 1
+    sums those at n of the successors, whose blocks form one multiset for
+    all members.  By the same induction a block counts what the member
+    whose letters it copies does, so the initial block counts what dfa
+    does."""
+    return _refine(dfa, True)
 
 
 DEFAULT_STATE_BUDGET = 10**7

@@ -123,26 +123,22 @@ def _strip(coeffs: list) -> list:
 
 def to_rational(seq, rec: tuple[Fraction, ...] | None = None) -> RationalGF:
     """Rational form of a series prefix.  The reciprocal of the recurrence
-    becomes the denominator; the numerator is den*seq, which must vanish
-    beyond the recurrence order or the input was not long enough."""
+    becomes the denominator den, the first terms of den*seq below its
+    order the numerator num.  The pair must re-expand to the whole prefix,
+    that is den*seq = num mod x^len(seq); if the recurrence does not
+    annihilate the tail, or the input was too short to fix it, it fails."""
     if rec is None:
         rec = find_recurrence(seq)
-    order = len(rec)
     den_q = [Fraction(1)] + [-c for c in rec]
-    s = [Fraction(x) for x in seq]
-    prod = []
-    for k in range(len(s)):
-        prod.append(sum(den_q[i] * s[k - i] for i in range(min(k, order) + 1)))
-    if any(prod[k] != 0 for k in range(order, len(s))):
-        raise InternalError("recurrence does not annihilate the series tail")
-    num_q = _strip(prod[:order] if order else prod[:])
+    num_q = _strip([sum(den_q[i] * seq[k - i] for i in range(k + 1))
+                    for k in range(len(rec))] or [Fraction(0)])
     den_q = _strip(den_q)
     # den_q[0] is 1, so the pair in lowest integer terms keeps den[0] = 1
     # only when every coefficient is an integer already
     if any(c.denominator != 1 for c in num_q + den_q):
         raise InternalError("denominator failed to normalize to constant 1")
     gf = RationalGF(tuple(map(int, num_q)), tuple(map(int, den_q)))
-    if gf.expand(len(s) - 1) != [int(x) for x in seq]:
+    if gf.expand(len(seq) - 1) != [int(x) for x in seq]:
         raise InternalError("re-expansion does not reproduce the series")
     return gf
 
@@ -150,14 +146,13 @@ def to_rational(seq, rec: tuple[Fraction, ...] | None = None) -> RationalGF:
 def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:
     """Length series prefix and generating function of a DFA's language.
 
-    Counting runs on m = minimize(a), the smallest machine with the same
-    language and therefore the same series, to the horizon 2*m+2
-    (lengths 0..2m+2).  Any DFA series satisfies a recurrence of order at
-    most its state count, and Berlekamp-Massey needs only twice the order
-    in terms to fix it, so the recovered recurrence is certainly minimal.
-    Refinement merges every state with an empty language into one block,
-    so trimming first would give the same machine."""
-    m = fsa.minimize(a)
+    Counting runs on m = fsa.series_quotient(a), a machine with the same
+    series and at most as many states as the minimal one, to the horizon
+    2*m+2 (lengths 0..2m+2).  The series of an m-state transfer matrix
+    obeys a recurrence of order at most m (Cayley-Hamilton), and
+    Berlekamp-Massey needs only twice the order in terms to fix it, so
+    the recovered recurrence is certainly minimal."""
+    m = fsa.series_quotient(a)
     seq = count_by_length(m, 2 * m.num_states + 2)
     return seq, to_rational(seq)
 

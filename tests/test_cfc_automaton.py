@@ -508,6 +508,16 @@ def test_acceptance_is_rotation_invariant_on_random_systems(system, data):
     assert a.accepts(word) == a.accepts(shifted)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_systems())
+def test_series_quotient_keeps_the_series_of_every_stage(system):
+    for mode in ("fc", "cfc", "pipeline"):
+        a = build(system, mode)
+        q = fsa.series_quotient(a)
+        assert genfun.count_by_length(q, 40) == genfun.count_by_length(a, 40)
+        assert q.num_states <= fsa.minimize(a).num_states
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_systems())
 @example(preset_system("tA4"))

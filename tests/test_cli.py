@@ -22,6 +22,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_under_256_mb(*args: str, timeout: int) -> subprocess.CompletedProcess:
+    """Python with args in a child process whose address space is capped
+    at 256 MB; the cap is set in the child only."""
+    def cap():
+        limit = 256 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cfcgf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], preexec_fn=cap, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_verify_agreement(capsys):
     code, out, _ = run(capsys, "verify", "--system", "B3", "--max-len", "6")
     assert code == 0
@@ -112,18 +125,9 @@ print(verify(system, machine, 10))
 
 
 def test_verify_mismatch_on_a_huge_language_fits_in_256_mb():
-    # the cap is set in the child only; listing the machine's 4^10 words
-    # of length 10 to find the witness ran out of memory
-    def cap():
-        limit = 256 << 20
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    src = str(Path(cfcgf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", VERIFY_ALL_WORDS],
-        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=120,
-    )
+    # listing the machine's 4^10 words of length 10 to find the witness
+    # ran out of memory
+    done = run_under_256_mb("-c", VERIFY_ALL_WORDS, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == repr(
         (10, 4**10, 0, (0,) * 10, "automaton only")
@@ -221,19 +225,19 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
 
 
 def test_cfc_stage_of_the_rank_8_cycle_fits_in_256_mb(tmp_path):
-    # the cap is set in the child only; the product of the closed factors
-    # needs about 30 MB, where closing the whole linear recognizer ran out
-    def cap():
-        limit = 256 << 20
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    # the product of the closed factors needs about 30 MB, where closing
+    # the whole linear recognizer ran out
+    done = run_under_256_mb("-m", "cfcgf.cli", "automaton", "--system", "tA7",
+                            "--stage", "cfc", "--out", str(tmp_path / "ta7.json"),
+                            timeout=120)
+    assert done.returncode == 0, done.stderr
 
-    src = str(Path(cfcgf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "cfcgf.cli", "automaton", "--system", "tA7",
-         "--stage", "cfc", "--out", str(tmp_path / "ta7.json")],
-        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=120,
-    )
+
+def test_per_expression_genfun_of_the_rank_8_cycle_fits_in_256_mb():
+    # counting on the minimal cfc-stage machine did not end within two
+    # minutes under this cap; its series quotient is far smaller
+    done = run_under_256_mb("-m", "cfcgf.cli", "genfun", "--per-expression",
+                            "--system", "tA7", timeout=60)
     assert done.returncode == 0, done.stderr
 
 
@@ -316,11 +320,12 @@ def test_genfun_counts_to_twice_the_minimized_states(capsys, tmp_path):
     assert code == 0
     system = preset_system("tA3")
     raw = fsa.product([cfc_automaton.build(system), lexnf.build(system)])
-    m = fsa.minimize(fsa.trim(raw)).num_states
+    m = fsa.series_quotient(raw).num_states
     doc = json.loads(target.read_text())
-    # the horizon is 2*m+2, so the counts cover lengths 0..2m+2
-    assert len(doc["coeffs"]) == 2 * m + 3
-    assert len(doc["coeffs"]) < 2 * raw.num_states + 3
+    # the horizon is 2*m+2 for the series quotient's m = 19 states, so the
+    # counts cover lengths 0..2m+2; the minimal machine's 87 gave 177
+    assert len(doc["coeffs"]) == 2 * m + 3 == 41
+    assert m < fsa.minimize(raw).num_states
 
 
 def test_oracle_report(capsys):

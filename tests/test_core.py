@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfcgf import core
+from cfcgf.cfc_automaton import finite_pairs
 from cfcgf.core import (
     INF,
     CoxeterSystem,
@@ -64,14 +65,18 @@ def test_commutes_is_irreflexive():
 
 def test_tracked_pairs_a3():
     s = preset_system("A3")
-    assert [(p.s, p.t, p.m) for p in s.tracked_pairs()] == [(0, 1, 3), (1, 2, 3)]
+    assert [(p.s, p.t, p.m) for p in finite_pairs(s)] == [(0, 1, 3), (1, 2, 3)]
 
 
 def test_tracked_pairs_skip_commuting():
     s = preset_system("D4")
-    pairs = {(p.s, p.t) for p in s.tracked_pairs()}
+    pairs = {(p.s, p.t) for p in finite_pairs(s)}
     assert (0, 1) not in pairs  # the fork: 0 and 1 both attach to 2
     assert (0, 2) in pairs and (1, 2) in pairs and (2, 3) in pairs
+
+
+def test_tracked_pairs_skip_infinite_labels():
+    assert finite_pairs(preset_system("I2:inf")) == ()
 
 
 # presets ------------------------------------------------------------------

@@ -19,9 +19,11 @@ from cfcgf.fsa import (
     is_subset,
     minimize,
     rotation_closure,
+    series_quotient,
     subset_counterexample,
     trim,
 )
+from cfcgf.genfun import count_by_length
 
 
 def even_ones() -> Dfa:
@@ -124,6 +126,17 @@ def test_minimize_sets_dead_hint():
     m = minimize(d)
     assert m.dead is not None
     assert m.dead not in m.finals
+
+
+def test_series_quotient_merges_states_with_equal_counts():
+    # the words are 01 and 10: after 0 only 1 completes one and after 1
+    # only 0 does, different words but as many of each length
+    d = Dfa(2, ((1, 2), (4, 3), (3, 4), (4, 4), (4, 4)), 0, frozenset({3}), 4)
+    assert minimize(d).num_states == 5
+    q = series_quotient(d)
+    assert q.num_states == 4
+    assert q.dead is not None
+    assert count_by_length(q, 4) == [0, 0, 2, 0, 0]
 
 
 def test_difference_witness_shortest_lex():
@@ -255,6 +268,14 @@ def test_minimize_preserves_language(d):
     m = minimize(d)
     assert difference_witness(d, m) is None
     assert m.num_states <= d.num_states
+
+
+@given(dfas())
+@settings(max_examples=80, deadline=None)
+def test_series_quotient_keeps_the_length_series(d):
+    q = series_quotient(d)
+    assert count_by_length(q, 40) == count_by_length(d, 40)
+    assert q.num_states <= minimize(d).num_states
 
 
 @given(dfas())

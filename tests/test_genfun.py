@@ -109,6 +109,27 @@ def test_rational_form_reexpands_to_the_direct_count(name):
     assert gf.expand(20) == count_by_length(a, 20)
 
 
+# found by counting the minimal cfc-stage machine to 2*minimized+2
+# terms, without the series quotient
+PER_EXPRESSION_GFS = {
+    "tA4": ((1, 5, 20, 60, 120, 108, -60, -240, -720, -1440, -190, 50, 200,
+             600, 1200, -29, 5, 20, 60, 120),
+            (1, 0, 0, 0, 0, -12, 0, 0, 0, 0, 10, 0, 0, 0, 0, 1)),
+    "tA5": ((1, 6, 30, 120, 360, 720, 629, -546, -2730, -10920, -32760,
+             -65520, -30433, 10362, 51810, 207240, 621720, 1243440, 16843,
+             546, 2730, 10920, 32760, 65520, 91584, -10368, -51840, -207360,
+             -622080, -1244160),
+            (1, 0, 0, 0, 0, 0, -91, 0, 0, 0, 0, 0, 1727, 0, 0, 0, 0, 0, 91,
+             0, 0, 0, 0, 0, -1728)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_EXPRESSION_GFS))
+def test_per_expression_generating_functions_frozen(name):
+    gf = genfun_of_dfa(cfc_automaton.build(preset_system(name), "cfc"))
+    assert (gf.num, gf.den) == PER_EXPRESSION_GFS[name]
+
+
 TRIANGLES = {
     "4/inf/2": '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}',
     "inf": '{"matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]]}',
@@ -117,14 +138,13 @@ TRIANGLES = {
 
 @pytest.mark.parametrize("name", ["tA3", "tA4", "A6", "B5", "D5", *TRIANGLES])
 def test_reduced_machine_gives_the_raw_machines_answer(name):
-    # counting on minimize(trim(a)) to 2*minimized+2 must reproduce the
+    # counting on series_quotient(a) to 2*quotient+2 must reproduce the
     # P/Q counted on the raw pipeline to 2*raw+2
     system = parse_system(TRIANGLES[name]) if name in TRIANGLES else preset_system(name)
     raw = pipeline(system)
     seq, gf = counted_genfun(raw)
-    m = fsa.minimize(fsa.trim(raw)).num_states
-    # the all-infinite triangle's raw pipeline (14 states) is minimal already
-    assert m < raw.num_states or name == "inf"
+    m = fsa.series_quotient(raw).num_states
+    assert m < raw.num_states
     assert seq == count_by_length(raw, 2 * m + 2)
     assert gf == to_rational(count_by_length(raw, 2 * raw.num_states + 2))
 
@@ -134,11 +154,12 @@ def test_reduced_machine_gives_the_raw_machines_answer(name):
     "name", ["A1", "A3", "A6", "B3", "B5", "D5", "I2:5", "I2:inf", "tA1",
              "tA3", "tA4", *TRIANGLES])
 def test_minimize_needs_no_trim_first(name, stage):
-    # counted_genfun and `series` minimize the raw machine: refinement
+    # counted_genfun and `series` refine the raw machine: refinement
     # merges the states with an empty language, so trim adds nothing
     system = parse_system(TRIANGLES[name]) if name in TRIANGLES else preset_system(name)
     a = cfc_automaton.build(system, stage)
     assert fsa.minimize(a) == fsa.minimize(fsa.trim(a))
+    assert fsa.series_quotient(a) == fsa.series_quotient(fsa.trim(a))
 
 
 def test_counting_is_invariant_under_trim_and_minimize():
