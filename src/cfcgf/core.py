@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
+from .value import Value
 
 INF = float("inf")
 
@@ -28,13 +28,12 @@ class TrackedPair(NamedTuple):
     m: int
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
-    matrix: tuple[tuple[int | float, ...], ...]
-    names: tuple[str, ...] = field(default=())
+class CoxeterSystem(Value):
+    __slots__ = ("matrix", "names")
 
-    def __post_init__(self):
-        m = self.matrix
+    def __init__(self, matrix: tuple[tuple[int | float, ...], ...],
+                 names: tuple[str, ...] = ()):
+        m = matrix
         n = len(m)
         if n < 1:
             raise InputError("a Coxeter system needs at least one generator")
@@ -53,13 +52,14 @@ class CoxeterSystem:
                     raise InputError(
                         f"off-diagonal entry m[{i}][{j}]={v!r} must be an integer >= 2 or infinity"
                     )
-        if not self.names:
-            object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
-        elif len(self.names) != n:
+        if not names:
+            names = tuple(str(i) for i in range(n))
+        elif len(names) != n:
             raise InputError("generator name list does not match matrix size")
-        elif len(set(self.names)) != n:
+        elif len(set(names)) != n:
             # words, witnesses and DOT labels are read back by name
             raise InputError("generator names must be distinct")
+        self._set(matrix, names)
 
     @property
     def rank(self) -> int:

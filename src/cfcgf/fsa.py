@@ -14,50 +14,49 @@ from __future__ import annotations
 import json
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import compress
 
 from .errors import BudgetError, InputError
+from .value import Value
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Dfa:
-    alphabet_size: int
-    delta: tuple[tuple[int, ...], ...]
-    initial: int
-    finals: frozenset[int]
-    dead: int | None = None
-    letter_names: tuple[str, ...] = field(default=(), compare=False)
+class Dfa(Value):
+    """A complete DFA as an immutable value.  letter_names are for display
+    only: == and hash ignore them."""
 
-    def __post_init__(self):
-        n = len(self.delta)
+    __slots__ = ("alphabet_size", "delta", "initial", "finals", "dead", "letter_names")
+
+    def __init__(self, alphabet_size: int, delta: tuple[tuple[int, ...], ...],
+                 initial: int, finals: frozenset[int], dead: int | None = None,
+                 letter_names: tuple[str, ...] = ()):
+        n = len(delta)
         if n == 0:
             raise InputError("automaton needs at least one state")
-        if any(len(row) != self.alphabet_size for row in self.delta):
+        if any(len(row) != alphabet_size for row in delta):
             raise InputError("transition table width must equal alphabet size")
-        for q, row in enumerate(self.delta):
+        for q, row in enumerate(delta):
             for a, r in enumerate(row):
                 if not (0 <= r < n):
                     raise InputError(f"transition {q} --{a}--> {r} leaves the state set")
-        if not (0 <= self.initial < n):
+        if not (0 <= initial < n):
             raise InputError("initial state out of range")
-        if any(not (0 <= f < n) for f in self.finals):
+        if any(not (0 <= f < n) for f in finals):
             raise InputError("final state out of range")
-        if self.dead is not None:
-            if not (0 <= self.dead < n):
+        if dead is not None:
+            if not (0 <= dead < n):
                 raise InputError("dead state out of range")
-            if self.dead in self.finals or any(
-                r != self.dead for r in self.delta[self.dead]
-            ):
+            if dead in finals or any(r != dead for r in delta[dead]):
                 raise InputError("dead state must reject and lead only to itself")
-        if not self.letter_names:
-            object.__setattr__(
-                self, "letter_names", tuple(str(a) for a in range(self.alphabet_size))
-            )
-        elif len(self.letter_names) != self.alphabet_size:
+        if not letter_names:
+            letter_names = tuple(str(a) for a in range(alphabet_size))
+        elif len(letter_names) != alphabet_size:
             raise InputError("letter name list does not match alphabet size")
+        self._set(alphabet_size, delta, initial, finals, dead, letter_names)
+
+    def _key(self) -> tuple:
+        return (self.alphabet_size, self.delta, self.initial, self.finals, self.dead)
 
     @property
     def num_states(self) -> int:

@@ -1,19 +1,21 @@
 """Length series and rational generating functions for automata.
 
 Counting is a transfer-matrix walk with exact integers.  The minimal
-recurrence behind a series is recovered by Berlekamp-Massey over the
-rationals, and the resulting numerator/denominator pair is re-expanded
-against the input as a self-check, so a wrong answer cannot escape
-quietly.
+recurrence behind a series is recovered by fraction-free Berlekamp-Massey
+over the integers: by Fatou's lemma a rational series with integer terms
+is P/Q with P, Q in Z[x] and Q(0) = 1 (Stanley, EC1 sec. 4), so no
+rational number is ever needed.  The resulting numerator/denominator pair
+is re-expanded against the input as a self-check, so a wrong answer
+cannot escape quietly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from . import fsa
 from .errors import InternalError
+from .value import Value
 
 
 def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
@@ -41,42 +43,57 @@ def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
     return out
 
 
-def find_recurrence(seq) -> tuple[Fraction, ...]:
+def find_recurrence(seq) -> tuple[int, ...]:
     """Connection coefficients (c_1..c_L) of the shortest linear recurrence
-    a_n = sum c_i a_{n-i} valid for every n >= L in the given prefix."""
-    s = [Fraction(x) for x in seq]
-    cur: list[Fraction] = []   # current connection polynomial, constant 1 implied
-    last: list[Fraction] = []  # copy from the last length change
+    a_n = sum c_i a_{n-i} valid for every n >= L in the given prefix of
+    integers.
+
+    Berlekamp-Massey without fractions: the connection polynomial
+    C = 1 - c_1 x - ... - c_L x^L is kept in Z[x] up to a nonzero factor,
+    updated as C <- b*C - d*x^m*B (d the discrepancy now, B and b the
+    polynomial and discrepancy of the last length change, m the steps
+    since) and divided by its content after each update.  By Fatou's
+    lemma a rational series with integer terms has its reduced
+    denominator in Z[x] with constant term 1, so the primitive C of every
+    series counted here has constant term +-1; any other raises
+    InternalError."""
+    s = list(seq)
+    conn = [1]                 # connection polynomial; constant term conn[0]
+    last = [1]                 # its value at the last length change
     last_pos = 0
-    last_delta = Fraction(1)
+    last_delta = 1
     for n in range(len(s)):
-        delta = s[n] - sum(cur[i] * s[n - 1 - i] for i in range(len(cur)))
+        delta = sum(c * s[n - i] for i, c in enumerate(conn))
         if delta == 0:
             continue
-        if not cur:
-            cur = [Fraction(0)] * (n + 1)
+        if len(conn) == 1:
+            conn = [1] + [0] * (n + 1)
             last_pos = n
             last_delta = delta
             continue
-        coef = delta / last_delta
-        fix = [Fraction(0)] * (n - last_pos - 1) + [coef]
-        fix += [-coef * c for c in last]
-        prev = cur[:]
-        if len(fix) > len(cur):
-            cur = cur + [Fraction(0)] * (len(fix) - len(cur))
-            last = prev
+        shift = n - last_pos
+        grow = shift + len(last) - len(conn)
+        new = [last_delta * c for c in conn] + [0] * grow
+        for i, c in enumerate(last, shift):
+            new[i] -= delta * c
+        if grow > 0:
+            last = conn
             last_pos = n
             last_delta = delta
-        for i, f in enumerate(fix):
-            cur[i] += f
-    return tuple(cur)
+        g = gcd(*new)
+        conn = [c // g for c in new] if new[0] > 0 else [-c // g for c in new]
+    if conn[0] != 1:
+        raise InternalError("the recurrence does not have integer coefficients")
+    return tuple(-c for c in conn[1:])
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Value):
     """num/den in Z[x]; den[0] = 1, the pair primitive and coprime."""
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]):
+        self._set(num, den)
 
     def expand(self, n_max: int) -> list[int]:
         out = []
@@ -121,23 +138,28 @@ def _strip(coeffs: list) -> list:
     return coeffs
 
 
-def to_rational(seq, rec: tuple[Fraction, ...] | None = None) -> RationalGF:
+def to_rational(seq, rec: tuple[int, ...] | None = None) -> RationalGF:
     """Rational form of a series prefix.  The reciprocal of the recurrence
     becomes the denominator den, the first terms of den*seq below its
     order the numerator num.  The pair must re-expand to the whole prefix,
     that is den*seq = num mod x^len(seq); if the recurrence does not
-    annihilate the tail, or the input was too short to fix it, it fails."""
+    annihilate the tail, or the input was too short to fix it, it fails.
+
+    find_recurrence gives integer coefficients (Fatou's lemma), so all
+    of this is integer arithmetic.  A caller's rec may hold any rationals
+    with a denominator, such as Fractions; one that is not an integer
+    fails the integrality check."""
     if rec is None:
         rec = find_recurrence(seq)
-    den_q = [Fraction(1)] + [-c for c in rec]
-    num_q = _strip([sum(den_q[i] * seq[k - i] for i in range(k + 1))
-                    for k in range(len(rec))] or [Fraction(0)])
-    den_q = _strip(den_q)
-    # den_q[0] is 1, so the pair in lowest integer terms keeps den[0] = 1
+    den = [1] + [-c for c in rec]
+    num = _strip([sum(den[i] * seq[k - i] for i in range(k + 1))
+                  for k in range(len(rec))] or [0])
+    den = _strip(den)
+    # den[0] is 1, so the pair in lowest integer terms keeps den[0] = 1
     # only when every coefficient is an integer already
-    if any(c.denominator != 1 for c in num_q + den_q):
+    if any(c.denominator != 1 for c in num + den):
         raise InternalError("denominator failed to normalize to constant 1")
-    gf = RationalGF(tuple(map(int, num_q)), tuple(map(int, den_q)))
+    gf = RationalGF(tuple(map(int, num)), tuple(map(int, den)))
     if gf.expand(len(seq) - 1) != [int(x) for x in seq]:
         raise InternalError("re-expansion does not reproduce the series")
     return gf

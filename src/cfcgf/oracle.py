@@ -11,10 +11,9 @@ not fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CoxeterSystem, cyclic_shifts
 from .errors import BudgetError
+from .value import Value
 
 DEFAULT_CLASS_BUDGET = 10**6
 
@@ -82,14 +81,13 @@ def is_cfc(system: CoxeterSystem, word: Word, budget: int = DEFAULT_CLASS_BUDGET
     return all(is_reduced_fc(system, r, budget) for r in sorted(rotations))
 
 
-@dataclass
-class OracleReport:
-    system: CoxeterSystem
-    max_length: int
-    kind: str
-    fc_counts: list[int]
-    cfc_counts: list[int] | None
-    witnesses: dict[int, list[Word]] | None
+class OracleReport(Value):
+    __slots__ = ("system", "max_length", "kind", "fc_counts", "cfc_counts", "witnesses")
+
+    def __init__(self, system: CoxeterSystem, max_length: int, kind: str,
+                 fc_counts: list[int], cfc_counts: list[int] | None,
+                 witnesses: dict[int, list[Word]] | None):
+        self._set(system, max_length, kind, fc_counts, cfc_counts, witnesses)
 
     def counts(self) -> list[int]:
         return self.fc_counts if self.kind == "fc" else list(self.cfc_counts or [])

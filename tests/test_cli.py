@@ -384,3 +384,17 @@ def test_runs_are_deterministic(capsys):
     _, first, _ = run(capsys, "automaton", "--system", "tA2")
     _, second, _ = run(capsys, "automaton", "--system", "tA2")
     assert first == second
+
+
+def test_importing_the_cli_pulls_in_no_heavy_stdlib_chain():
+    # dataclasses (inspect, ast, dis, tokenize) and fractions (decimal,
+    # numbers) once made up most of every command's start-up time; -S
+    # keeps site's own imports out of the comparison
+    code = ("import sys; before = set(sys.modules); import cfcgf.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cfcgf.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    added = set(done.stdout.split())
+    assert "cfcgf.cli" in added
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}

@@ -19,6 +19,18 @@ from cfcgf.core import (
 from cfcgf.errors import InputError
 
 
+def test_system_is_a_hashable_value():
+    a = CoxeterSystem(((1, 3), (3, 1)))
+    b = preset_system("A2")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.names == ("0", "1")
+    assert a != CoxeterSystem(((1, 3), (3, 1)), ("x", "y"))
+    assert a != CoxeterSystem(((1, 4), (4, 1)))
+    assert repr(a) == "CoxeterSystem(matrix=((1, 3), (3, 1)), names=('0', '1'))"
+    with pytest.raises(AttributeError):
+        a.names = ("x", "y")
+
+
 def test_matrix_must_be_square():
     with pytest.raises(InputError):
         CoxeterSystem(((1, 3), (3, 1, 2)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import re
 from itertools import product
 
@@ -50,6 +51,21 @@ def test_validation():
         Dfa(1, ((0,),), 0, frozenset({0}), dead=0)
     with pytest.raises(InputError):  # the dead state leads back to acceptance
         Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)
+
+
+def test_equality_ignores_letter_names():
+    d = even_ones()
+    named = Dfa(2, ((0, 1), (1, 0)), 0, frozenset({0}), letter_names=("a", "b"))
+    assert d.letter_names == ("0", "1") and named.letter_names == ("a", "b")
+    assert d == named and hash(d) == hash(named) and len({d, named}) == 1
+    assert d != ends_with_zero()
+    assert d != Dfa(2, ((0, 1), (1, 0)), 0, frozenset({1}))
+    assert Dfa(1, ((0,),), 0, frozenset()) != Dfa(1, ((0,),), 0, frozenset(), dead=0)
+    assert pickle.loads(pickle.dumps(named)).letter_names == ("a", "b")
+    with pytest.raises(AttributeError):
+        d.initial = 1
+    with pytest.raises(InputError):
+        Dfa(2, ((0, 1),), 0, frozenset(), letter_names=("a",))
 
 
 def test_accepts():

@@ -1,6 +1,5 @@
 """Series extraction: exact counting, recurrence recovery, rational forms."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -40,6 +39,54 @@ def test_recurrence_of_constant_and_zero_series():
     assert find_recurrence([0, 0, 0, 0]) == ()
 
 
+def test_recurrence_must_have_integer_coefficients():
+    # 2, 1: the shortest recurrence is a_n = a_{n-1}/2
+    with pytest.raises(InternalError):
+        find_recurrence([2, 1])
+    with pytest.raises(InternalError):
+        to_rational([2, 1])
+
+
+def fraction_berlekamp_massey(seq):
+    """Textbook Berlekamp-Massey over Q, the reference for the
+    fraction-free one: (c_1..c_L) of the shortest recurrence."""
+    s = [Fraction(x) for x in seq]
+    conn, prev = [Fraction(1)], [Fraction(1)]  # constant terms 1
+    order, shift, prev_delta = 0, 1, Fraction(1)
+    for n in range(len(s)):
+        delta = sum(c * s[n - i] for i, c in enumerate(conn))
+        if delta == 0:
+            shift += 1
+            continue
+        old = conn[:]
+        conn += [Fraction(0)] * (shift + len(prev) - len(conn))
+        for i, c in enumerate(prev):
+            conn[i + shift] -= delta / prev_delta * c
+        if 2 * order <= n:
+            order, prev, prev_delta, shift = n + 1 - order, old, delta, 1
+        else:
+            shift += 1
+    conn += [Fraction(0)] * (order + 1 - len(conn))
+    assert not any(conn[order + 1:])
+    return tuple(-c for c in conn[1:order + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_recurrence_matches_fraction_berlekamp_massey(data):
+    order = data.draw(st.integers(min_value=0, max_value=6))
+    coeffs = data.draw(st.lists(st.integers(min_value=-5, max_value=5),
+                                min_size=order, max_size=order))
+    seq = data.draw(st.lists(st.integers(min_value=-9, max_value=9),
+                             min_size=order, max_size=order))
+    length = data.draw(st.integers(min_value=2 * order + 2, max_value=2 * order + 8))
+    while len(seq) < length:
+        seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
+    rec = find_recurrence(seq)
+    assert rec == fraction_berlekamp_massey(seq)
+    assert all(type(c) is int for c in rec)
+
+
 def test_rational_form_of_eventually_constant_series():
     gf = to_rational([1, 2, 2, 2, 2, 2, 2, 2])
     assert (gf.num, gf.den) == ((1, 1), (1, -1))
@@ -76,6 +123,16 @@ def test_rational_form_needs_integer_coefficients():
 def test_expansion_guards_against_non_integer_coefficients():
     with pytest.raises(InternalError):
         RationalGF((1,), (2,)).expand(3)
+
+
+def test_rational_gf_is_a_hashable_value():
+    gf = to_rational([1, 1, 2, 3, 5, 8, 13, 21])
+    same = RationalGF((1,), (1, -1, -1))
+    assert gf == same and hash(gf) == hash(same)
+    assert gf != RationalGF((1,), (1, -1)) and len({gf, same}) == 1
+    assert repr(gf) == "RationalGF(num=(1,), den=(1, -1, -1))"
+    with pytest.raises(AttributeError):
+        gf.num = (2,)
 
 
 def test_json_uses_decimal_strings():
@@ -173,9 +230,8 @@ def test_counting_skips_dead_states_without_a_hint():
     # states that cannot reach acceptance; with its sink no longer named
     # dead, none is, and accepted_words then walks all words
     system = preset_system("B3")
-    a = dataclasses.replace(
-        fsa.product([cfc_automaton.build(system), lexnf.build(system)]), dead=None
-    )
+    p = fsa.product([cfc_automaton.build(system), lexnf.build(system)])
+    a = fsa.Dfa(p.alphabet_size, p.delta, p.initial, p.finals, None, p.letter_names)
     assert a.dead is None
     assert a.num_states - len(fsa.coreachable(a)) > 1
     sizes = [0] * 9

@@ -133,6 +133,22 @@ def test_report_json_uses_decimal_strings():
     assert doc["witnesses"]["2"] == [[0, 1], [1, 0]]
 
 
+def test_report_is_a_value():
+    r = oracle.count_elements(preset_system("A2"), 3, witnesses=True)
+    assert r.to_json_dict() == {
+        "kind": "cfc", "max_length": 3,
+        "fc_counts": ["1", "2", "2", "0"], "cfc_counts": ["1", "2", "2", "0"],
+        "witnesses": {"0": [[]], "1": [[0], [1]], "2": [[0, 1], [1, 0]], "3": []},
+    }
+    fc = oracle.count_elements(preset_system("A3"), 2, kind="fc")
+    assert fc.to_json_dict() == {"kind": "fc", "max_length": 2,
+                                 "fc_counts": ["1", "3", "5"]}
+    assert r == oracle.count_elements(preset_system("A2"), 3, witnesses=True)
+    assert r != oracle.count_elements(preset_system("A2"), 3)
+    with pytest.raises(TypeError):
+        hash(r)
+
+
 # properties -----------------------------------------------------------------
 
 WORDS_A3 = st.lists(st.integers(0, 2), min_size=0, max_size=7).map(tuple)
