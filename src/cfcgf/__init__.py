@@ -1,7 +1,7 @@
 """Coxeter group automata for cyclically fully commutative elements and
 their exact length generating functions."""
 
-from .core import INF, CoxeterSystem, TrackedPair, cyclic_shifts, parse_system, preset_system, serialize_system
+from .core import INF, CoxeterSystem, cyclic_shifts, parse_system, preset_system, serialize_system
 from .errors import BudgetError, CfcError, InputError, InternalError
 
 __version__ = "0.1.0"
@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 __all__ = [
     "INF",
     "CoxeterSystem",
-    "TrackedPair",
     "cyclic_shifts",
     "parse_system",
     "preset_system",

@@ -20,8 +20,10 @@ Both are exact by construction, and each checks the other.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import fsa, lexnf
-from .core import INF, CoxeterSystem, TrackedPair
+from .core import INF, CoxeterSystem
 from .errors import InternalError
 from .fsa import DEFAULT_STATE_BUDGET, Dfa
 
@@ -30,6 +32,14 @@ MODES = ("fc", "cfc", "pipeline")
 EMPTY_CHAIN = (-1, 0)  # (last letter, length)
 
 PairState = tuple[tuple[int, int], int]  # (chain, watch mask)
+
+
+class TrackedPair(NamedTuple):
+    """Pair of generators s < t with a finite label m >= 3."""
+
+    s: int
+    t: int
+    m: int
 
 
 def finite_pairs(system: CoxeterSystem) -> tuple[TrackedPair, ...]:
@@ -115,15 +125,15 @@ def build(system: CoxeterSystem, mode: str = "cfc",
 
     The linear recognizer is the `fsa.product` of the `factors`, the cfc
     stage the product of their minimized closures, and the pipeline the
-    guided closure of the linear recognizer, which the guide cuts as it is
+    guided closure of the factors' product, which the guide cuts as it is
     built.  Each machine built on the way has at most state_budget states."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
     parts = factors(system, state_budget)
-    if mode == "cfc":
-        parts = [fsa.minimize(fsa.rotation_closure(f, None, state_budget))
-                 for f in parts]
-    a = fsa.product(parts, state_budget)
     if mode == "pipeline":
-        a = fsa.rotation_closure(a, lexnf.build(system, state_budget), state_budget)
-    return a
+        return fsa.rotation_closure(parts, lexnf.build(system, state_budget),
+                                    state_budget)
+    if mode == "cfc":
+        parts = [fsa.minimize(fsa.rotation_closure([f], None, state_budget))
+                 for f in parts]
+    return fsa.product(parts, state_budget)

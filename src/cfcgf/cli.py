@@ -46,14 +46,20 @@ def _write_or_print(text: str, out: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _print_stats(a: fsa.Dfa) -> None:
+    """Print the raw, trimmed and minimized state counts; the trimmed
+    machine is freed on return, before any JSON text is built."""
+    trimmed = fsa.trim(a)
+    print(f"states {a.num_states}")
+    print(f"trimmed {trimmed.num_states}")
+    print(f"minimized {fsa.minimize(trimmed).num_states}")
+
+
 def cmd_automaton(args) -> int:
     system = _load_system(args.system)
     a = _build_stage(system, args.stage, args.state_budget)
     if args.stats:
-        trimmed = fsa.trim(a)
-        print(f"states {a.num_states}")
-        print(f"trimmed {trimmed.num_states}")
-        print(f"minimized {fsa.minimize(trimmed).num_states}")
+        _print_stats(a)
     if args.dot:
         _write_or_print(a.to_dot(keep_dead=args.keep_sink), args.dot)
     if args.out or not (args.stats or args.dot):
@@ -77,10 +83,10 @@ def cmd_genfun(args) -> int:
     coeffs, gf = genfun.counted_genfun(
         _build_stage(system, stage, args.state_budget)
     )
-    doc = {"coeffs": [str(c) for c in coeffs]}
-    doc.update(gf.to_json_dict())
     print(gf)
     if args.out:
+        doc = {"coeffs": [str(c) for c in coeffs]}
+        doc.update(gf.to_json_dict())
         _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -233,6 +239,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # counts and coefficients can pass the 4,300 digits that int -> str
+    # allows by default on Python 3.10.7 and later
+    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

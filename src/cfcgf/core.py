@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import NamedTuple
 
 from .errors import InputError
 from .value import Value
@@ -18,14 +17,6 @@ from .value import Value
 INF = float("inf")
 
 MAX_RANK = 16
-
-
-class TrackedPair(NamedTuple):
-    """Pair of generators s < t with a finite label m >= 3."""
-
-    s: int
-    t: int
-    m: int
 
 
 class CoxeterSystem(Value):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from array import array
 from collections import deque
-from itertools import compress
 
 from .errors import BudgetError, InputError
 from .value import Value
@@ -268,6 +267,12 @@ def explore(start, step, accepts, letter_names, state_budget: int) -> Dfa:
     and the sink at 1, its dead state; a found state q accepts iff
     accepts(q).  At most state_budget states are allowed, the sink
     included."""
+    return _explore(start, step, accepts, letter_names, state_budget)[0]
+
+
+def _explore(start, step, accepts, letter_names, state_budget: int):
+    """`explore`'s machine and its states, numbered as the machine numbers
+    them, with None for the sink."""
     if state_budget < 2:  # the start and the sink
         raise BudgetError(f"state budget {state_budget} exceeded while building")
     alphabet_size = len(letter_names)
@@ -295,15 +300,14 @@ def explore(start, step, accepts, letter_names, state_budget: int) -> Dfa:
     finals = frozenset(
         i for i, q in enumerate(states) if q is not None and accepts(q)
     )
-    return Dfa(alphabet_size, tuple(delta), 0, finals, 1, letter_names)
+    return Dfa(alphabet_size, tuple(delta), 0, finals, 1, letter_names), states
 
 
-def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
-    """Machine for the intersection of the languages of one or more
-    machines over one alphabet, built by `explore`, so a letter that takes
-    some machine to its dead state leads to the sink, state 1, the dead
-    state.  A state is one int, the machines' states in mixed radix, and a
-    letter steps only the machines on which it is not the identity."""
+def _packed(machines: list[Dfa]):
+    """The weights and the step of the machines' states packed as one int
+    in mixed radix.  A letter steps only the machines on which it is not
+    the identity, and leads to None where it takes one to its dead
+    state."""
     k = machines[0].alphabet_size
     if any(a.alphabet_size != k for a in machines):
         raise InputError("cannot intersect automata over different alphabets")
@@ -327,6 +331,22 @@ def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Df
             x += add
         return x
 
+    return weights, step
+
+
+def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
+    """Machine for the intersection of the languages of one or more
+    machines over one alphabet, built by `explore`, so a letter that takes
+    some machine to its dead state leads to the sink, state 1, the dead
+    state.  A state is one int, the machines' states in mixed radix
+    (`_packed`)."""
+    return _product(machines, state_budget)[0]
+
+
+def _product(machines: list[Dfa], state_budget: int):
+    """`product`'s machine, its packed states as `_explore` lists them,
+    and the packing's weights."""
+    weights, step = _packed(machines)
     # a state holds no machine's dead state, but at the start, so only
     # machines with some other rejecting state need checking after it
     checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)
@@ -337,64 +357,40 @@ def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Df
         return all(x // w % n in finals for w, n, finals in checks)
 
     start = sum(a.initial * w for a, w in zip(machines, weights))
-    return explore(start, step, accepts, machines[0].letter_names, state_budget)
+    a, states = _explore(start, step, accepts, machines[0].letter_names, state_budget)
+    return a, states, weights
 
 
-def rotation_closure(
-    a: Dfa, guide: Dfa | None = None, state_budget: int = DEFAULT_STATE_BUDGET
-) -> Dfa:
-    """Automaton for {w : every rotation of w is in L(a)}, intersected with
-    L(guide) when a guide is given; only words the guide keeps are
-    explored.  a must accept exactly the words that avoid its dead state,
-    as a prefix-closed machine does: every state but the dead one accepts.
+def _transformations(a: Dfa, state_budget: int):
+    """The machine of the transformations x -> delta(x, w) of a's states,
+    built by `_explore` from the identity: T goes to T.c on letter c, or
+    to the sink once T(q0) is dead.  Its states, each T as the tuple of
+    its images, come with it."""
+    cols = [[row[c] for row in a.delta] for c in range(a.alphabet_size)]
+    q0, dead = a.initial, a.dead
 
-    A state is (T, M, g) for the word w read so far.  T is the
-    transformation x -> delta(x, w) on the states x it keeps alive.  M has
-    one entry per split w = uv: r = delta(q0, v), with S the set of states
-    from which u stays alive; entries with equal r move together from then
-    on and are merged by intersecting their S.  g is the guide's state.
-    The rotation vu is in L(a) iff r is in S, so a state accepts iff every
-    entry has r in S and g accepts.  Reading c moves every r to
-    delta(r, c) and adds the entry (q0, alive(T_wc)); the result is the
-    sink when wc leaves L(a), some r is dead, or the guide cannot accept.
+    def step(t: tuple[int, ...], c: int) -> tuple[int, ...] | None:
+        col = cols[c]
+        return None if col[t[q0]] == dead else tuple(map(col.__getitem__, t))
 
-    The sink is also next when some entry, after its step and any merge,
-    has S & reach(r, g) empty, where g is the guide's new state and
-    reach(r, g) is the set of states other than dead that r leads to by
-    words that keep the guide live from g (r itself included).  Every
-    entry is born as r = q0 beside a live guide state and then reads the
-    letters the guide reads, so reach is needed only on the pairs of
-    states reachable from those.  Without a guide, g ranges over the one
-    state of the trivial guide (G = 1), and reach(r, g) is everything r
-    leads to.  The cut is exact: any accepting future moves r within
-    reach(r, g), and merging only shrinks S, so no rotation through that
-    split is accepted again, and the state has no accepting future.  Only
-    states that `trim` would drop go.  S itself is kept whole, not cut
-    down to reach(r, g): cutting merges a few more states on affine
-    systems but makes the closure slower.
+    return _explore(tuple(range(a.num_states)), step, lambda t: True,
+                    a.letter_names, state_budget)
 
-    T is packed as its domain then its images, interned as a small int,
-    and stepped once per letter; each S is an interned bitmask, and M is
-    packed as sorted (r, S id) pairs.  The states are numbered as
-    `explore` numbers them, with at most state_budget of them."""
-    n, k = a.num_states, a.alphabet_size
-    dead = -1 if a.dead is None else a.dead
-    if a.finals != frozenset(range(n)) - {dead}:
-        raise InputError("rotation_closure needs a machine whose only "
-                         "rejecting state is its dead state")
-    if guide is None:
-        guide = Dfa(k, ((0,) * k,), 0, frozenset({0}))
-    elif guide.alphabet_size != k:
-        raise InputError("cannot guide over a different alphabet")
-    g_live = coreachable(guide)
-    cols = [[row[c] for row in a.delta] for c in range(k)]
-    q0 = a.initial
 
-    # reach[x * G + g]: bitmask of the states other than dead that x
-    # reaches while the guide stays live from g, over the pairs reachable
-    # from some (q0, g) with g live, by sweeps in reverse discovery order
-    # until one changes nothing
-    G = guide.num_states
+def _bitmask(bits: list[int], size: int) -> int:
+    """The int with the given bits set, all below size, built in one pass."""
+    buf = bytearray(size // 8 + 1)
+    for x in bits:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _reach(a: Dfa, guide: Dfa, g_live: set[int]) -> dict[int, int]:
+    """reach[x * G + g], for G the guide's states: the bitmask of the
+    states other than dead that x reaches while the guide stays live from
+    g, over the pairs reachable from some (q0, g) with g live, by sweeps
+    in reverse discovery order until one changes nothing."""
+    G, dead, q0 = guide.num_states, a.dead, a.initial
     pairs = [q0 * G + g for g in sorted(g_live)]
     index = {p: i for i, p in enumerate(pairs)}
     succs: list[list[int]] = []
@@ -420,16 +416,106 @@ def rotation_closure(
             if mask != masks[i]:
                 masks[i] = mask
                 changed = True
-    reach = dict(zip(pairs, masks))
+    return dict(zip(pairs, masks))
 
-    t_packed: list[bytes] = []  # T id -> x0 = q0, x1, ..., T(x0), T(x1), ...
-    t_ids: dict[bytes, int] = {}
-    t_head: list[int] = []  # T id -> T(q0), or dead
-    t_alive: list[int] = []  # T id -> S id of its domain
-    t_next: list[list[int | None]] = []  # T id, letter -> T id, -1 if dead
+
+def rotation_closure(
+    machines: list[Dfa], guide: Dfa | None = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Dfa:
+    """Automaton for {w : every rotation of w is in L(a)}, intersected with
+    L(guide) when a guide is given, where a is the `product` of the
+    machines; only words the guide keeps are explored.  Each machine must
+    accept exactly the words that avoid its dead state, as a prefix-closed
+    machine does: every state but the dead one accepts.
+
+    A state is (T, M, g) for the word w read so far.  T is the
+    transformation x -> delta(x, w) of the states of a, and alive(T) the
+    set of states it keeps alive.  M has one entry per split w = uv: r =
+    delta(q0, v), with S = alive(T_u), the set of states from which u
+    stays alive; entries with equal r move together from then on and are
+    merged by intersecting their S.  g is the guide's state.  The rotation
+    vu is in L(a) iff r is in S, so a state accepts iff every entry has r
+    in S and g accepts.  Reading c moves every r to delta(r, c) and adds
+    the entry (q0, alive(T_wc)); the result is the sink when wc leaves
+    L(a), some r is dead, or the guide cannot accept.
+
+    The sink is also next when some entry, after its step and any merge,
+    has S & reach(r, g) empty, where g is the guide's new state and
+    reach(r, g) is the set of states other than dead that r leads to by
+    words that keep the guide live from g (r itself included).  Every
+    entry is born as r = q0 beside a live guide state and then reads the
+    letters the guide reads, so reach is needed only on the pairs of
+    states reachable from those.  Without a guide, g ranges over the one
+    state of the trivial guide (G = 1), and reach(r, g) is everything r
+    leads to.  The cut is exact: any accepting future moves r within
+    reach(r, g), and merging only shrinks S, so no rotation through that
+    split is accepted again, and the state has no accepting future.  Only
+    states that `trim` would drop go.  S itself is kept whole, not cut
+    down to reach(r, g): cutting merges a few more states on affine
+    systems but makes the closure slower.
+
+    A state of a is a tuple of the machines' states, so T is the tuple of
+    the machines' own transformations.  Each machine's transformations
+    form a small machine (`_transformations`), and T is a state of their
+    product, packed as `product` packs states and stepped by the same
+    code: it goes to the sink when some machine's T(q0) dies, that is,
+    when the word leaves L(a).  alive(T) is the AND, over the machines, of
+    the bitmask of the states of a whose component that machine's
+    transformation keeps alive; it is computed once per T.  Two packed Ts
+    that differ only on components no state in their common alive set
+    has (another component dies there) are one transformation of a, and
+    share one id, so the states are those of the closure of
+    product(machines) itself.  Each S is an interned bitmask, and M is
+    packed as sorted (r, S id) pairs.  The states are numbered as
+    `explore` numbers them, with at most state_budget of them; a and each
+    transformation machine are built under that budget too."""
+    for m in machines:
+        if m.finals != frozenset(range(m.num_states)) - {m.dead}:
+            raise InputError("rotation_closure needs machines whose only "
+                             "rejecting state is their dead state")
+    a, states, weights = _product(machines, state_budget)
+    k, dead, q0 = a.alphabet_size, a.dead, a.initial
+    if guide is None:
+        guide = Dfa(k, ((0,) * k,), 0, frozenset({0}))
+    elif guide.alphabet_size != k:
+        raise InputError("cannot guide over a different alphabet")
+    g_live = coreachable(guide)
+    cols = [[row[c] for row in a.delta] for c in range(k)]
+    G = guide.num_states
+    reach = _reach(a, guide, g_live)
+
+    # per machine: its transformations, the bitmask per state of the
+    # states of a with that component, and per transformation the union
+    # of those of the states it keeps alive
+    t_machines = []
+    t_tables = []
+    for m, w in zip(machines, weights):
+        tm, images = _transformations(m, state_budget)
+        n = m.num_states
+        members: list[list[int]] = [[] for _ in range(n)]
+        for x, p in enumerate(states):
+            if p is not None:
+                members[p // w % n].append(x)
+        parts = [_bitmask(xs, len(states)) for xs in members]
+        # the parts are disjoint, so their sum is their union
+        alive = [0 if t is None else sum(p for p, y in zip(parts, t) if y != m.dead)
+                 for t in images]
+        t_machines.append(tm)
+        t_tables.append((images, parts, alive))
+    del states
+    # T is packed as `product` packs the transformation machines' states
+    t_weights, t_step = _packed(t_machines)
+    per_machine = [(w, tm.num_states, *tables, m.initial, v)
+                   for w, tm, tables, m, v
+                   in zip(t_weights, t_machines, t_tables, machines, weights)]
+
     s_masks: list[int] = []
     s_ids: dict[int, int] = {}
-    domains: dict[bytes, int] = {}  # packed domain -> S id
+    t_class: dict[int, int] = {}  # packed T -> id of its class
+    reps: list[int] = []  # class id -> the first packed T found in it
+    rep_alive: list[int] = []  # class id -> S id of alive(T)
+    by_head: dict[int, list[int]] = {}  # T(q0), packed -> class ids
 
     def s_id(mask: int) -> int:
         sid = s_ids.get(mask)
@@ -438,33 +524,40 @@ def rotation_closure(
             s_masks.append(mask)
         return sid
 
-    def t_id(xs: list[int], ys: list[int]) -> int:
-        domain = array("I", xs).tobytes()
-        key = domain + array("I", ys).tobytes()
-        tid = t_ids.get(key)
-        if tid is None:
-            tid = t_ids[key] = len(t_packed)
-            t_packed.append(key)
-            t_head.append(ys[0] if xs and xs[0] == q0 else dead)
-            sid = domains.get(domain)
-            if sid is None:  # many T share a domain; a bitmask costs more
-                sid = domains[domain] = s_id(sum(map((1).__lshift__, xs)))
-            t_alive.append(sid)
-            t_next.append([None] * k)
-        return tid
+    def same_on(t: int, u: int, mask: int) -> bool:
+        """Whether packed T t and u map the states of a in mask alike: each
+        machine's images differ only on states that are no component of a
+        state in mask."""
+        for w, n, images, parts, *_ in per_machine:
+            ti, ui = t // w % n, u // w % n
+            if ti != ui and any(y != z and part & mask for y, z, part
+                                in zip(images[ti], images[ui], parts)):
+                return False
+        return True
 
-    def t_step(tid: int, c: int) -> int:
-        col = cols[c]
-        nxt = -1
-        if col[t_head[tid]] != dead:
-            packed = array("I", t_packed[tid])
-            half = len(packed) // 2
-            ys = [col[y] for y in packed[half:]]
-            alive = [y != dead for y in ys]
-            nxt = t_id(list(compress(packed[:half], alive)),
-                       list(compress(ys, alive)))
-        t_next[tid][c] = nxt
-        return nxt
+    def class_of(t: int) -> int:
+        """The id of the transformation of a that packed T is.  Packed Ts
+        with one alive set that map its states alike are one, though they
+        may differ on a component no alive state has: there some other
+        component dies.  Both keep q0 alive, so both map it alike."""
+        tid = t_class.get(t)
+        if tid is None:
+            mask, head = -1, 0
+            for w, n, images, _, alive, q0_m, v in per_machine:
+                ti = t // w % n
+                mask &= alive[ti]
+                head += images[ti][q0_m] * v
+            sid = s_id(mask)
+            group = by_head.setdefault(head, [])
+            tid = next((u for u in group if rep_alive[u] == sid
+                        and same_on(t, reps[u], mask)), None)
+            if tid is None:
+                tid = len(reps)
+                reps.append(t)
+                rep_alive.append(sid)
+                group.append(tid)
+            t_class[t] = tid
+        return tid
 
     def m_pack(entries: dict[int, int]) -> bytes:
         flat = [v for r in sorted(entries) for v in (r, entries[r])]
@@ -490,11 +583,12 @@ def rotation_closure(
         g = guide.delta[g][c]
         if g not in g_live:
             return None
-        t = t_next[tid][c]
+        t = t_step(reps[tid], c)
         if t is None:
-            t = t_step(tid, c)
-        m = None if t < 0 else m_step(m, c, t_alive[t], g)
-        return None if m is None else (t, m, g)
+            return None
+        tid = class_of(t)
+        m = m_step(m, c, rep_alive[tid], g)
+        return None if m is None else (tid, m, g)
 
     def accepts(key: tuple[int, bytes, int]) -> bool:
         if key[2] not in guide.finals:
@@ -503,9 +597,8 @@ def rotation_closure(
         return all(s_masks[flat[i + 1]] >> flat[i] & 1
                    for i in range(0, len(flat), 2))
 
-    domain = sorted(set(range(n)) - {dead}, key=lambda x: x != q0)
-    t0 = t_id(domain, domain)
-    return explore((t0, m_pack({q0: t_alive[t0]}), guide.initial), step,
+    t0 = class_of(0)
+    return explore((t0, m_pack({q0: rep_alive[t0]}), guide.initial), step,
                    accepts, a.letter_names, state_budget)
 
 
@@ -530,37 +623,5 @@ def difference_witness(a: Dfa, b: Dfa) -> Word | None:
     return None
 
 
-def subset_counterexample(a: Dfa, b: Dfa) -> Word | None:
-    """Shortest, then least, word accepted by a but not by b, or None if
-    L(a) <= L(b): L(a & b) lies in L(a), so it differs from L(a) exactly
-    on L(a) - L(b)."""
-    return difference_witness(product([a, b]), a)
-
-
 def equivalent(a: Dfa, b: Dfa) -> bool:
     return difference_witness(a, b) is None
-
-
-def is_subset(a: Dfa, b: Dfa) -> bool:
-    return subset_counterexample(a, b) is None
-
-
-def accepted_words(dfa: Dfa, max_len: int) -> list[Word]:
-    """All accepted words of length at most max_len, shortest first and
-    lexicographic within a length.  Words that reach the dead state are
-    not extended.  Exponential in max_len; test sizes only."""
-    out: list[Word] = []
-    layer: list[tuple[Word, int]] = [((), dfa.initial)]
-    if dfa.initial in dfa.finals:
-        out.append(())
-    for _ in range(max_len):
-        nxt = []
-        for word, q in layer:
-            for c in range(dfa.alphabet_size):
-                r = dfa.delta[q][c]
-                if r == dfa.dead:
-                    continue
-                nxt.append((word + (c,), r))
-        layer = nxt
-        out.extend(w for w, q in layer if q in dfa.finals)
-    return out

@@ -23,19 +23,6 @@ from .core import CoxeterSystem
 from .fsa import DEFAULT_STATE_BUDGET, Dfa, explore
 
 
-def is_lex_least(word: tuple[int, ...], system: CoxeterSystem) -> bool:
-    """Direct check used by the tests; mirrors the automaton's criterion."""
-    for j, c in enumerate(word):
-        block: list[int] = []
-        for i in range(j - 1, -1, -1):
-            if not system.commutes(c, word[i]):
-                break
-            block.append(word[i])
-        if any(x > c for x in block):
-            return False
-    return True
-
-
 def build(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Complete DFA over the generator alphabet; every surviving word is
     the least member of its commutation class and every class is hit

@@ -1,0 +1,52 @@
+"""Brute-force checks that only the tests use."""
+
+from __future__ import annotations
+
+from cfcgf.core import CoxeterSystem
+from cfcgf.fsa import Dfa, Word, difference_witness, product
+
+
+def subset_counterexample(a: Dfa, b: Dfa) -> Word | None:
+    """Shortest, then least, word accepted by a but not by b, or None if
+    L(a) <= L(b): L(a & b) lies in L(a), so it differs from L(a) exactly
+    on L(a) - L(b)."""
+    return difference_witness(product([a, b]), a)
+
+
+def is_subset(a: Dfa, b: Dfa) -> bool:
+    return subset_counterexample(a, b) is None
+
+
+def accepted_words(dfa: Dfa, max_len: int) -> list[Word]:
+    """All accepted words of length at most max_len, shortest first and
+    lexicographic within a length.  Words that reach the dead state are
+    not extended.  Exponential in max_len; test sizes only."""
+    out: list[Word] = []
+    layer: list[tuple[Word, int]] = [((), dfa.initial)]
+    if dfa.initial in dfa.finals:
+        out.append(())
+    for _ in range(max_len):
+        nxt = []
+        for word, q in layer:
+            for c in range(dfa.alphabet_size):
+                r = dfa.delta[q][c]
+                if r == dfa.dead:
+                    continue
+                nxt.append((word + (c,), r))
+        layer = nxt
+        out.extend(w for w, q in layer if q in dfa.finals)
+    return out
+
+
+def is_lex_least(word: tuple[int, ...], system: CoxeterSystem) -> bool:
+    """Whether no letter of word can commute backwards past a block
+    holding a larger letter; the criterion `lexnf.build` applies."""
+    for j, c in enumerate(word):
+        block: list[int] = []
+        for i in range(j - 1, -1, -1):
+            if not system.commutes(c, word[i]):
+                break
+            block.append(word[i])
+        if any(x > c for x in block):
+            return False
+    return True

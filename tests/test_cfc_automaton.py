@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfcgf import fsa, genfun, lexnf
+from cfcgf import cfc_automaton, fsa, genfun, lexnf
 from cfcgf.cfc_automaton import (
     EMPTY_CHAIN,
     _letter_step,
@@ -19,6 +19,7 @@ from cfcgf.core import CoxeterSystem, INF, cyclic_shifts, parse_system, preset_s
 from cfcgf.errors import BudgetError
 from cfcgf.genfun import RationalGF
 from cfcgf.oracle import count_elements, is_cfc, is_reduced_fc
+from helpers import accepted_words, is_subset
 
 INF_TRIANGLE = parse_system(
     '{"matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]]}'
@@ -82,7 +83,7 @@ def test_a1_has_three_states():
 
 def test_a2_language_is_exactly_five_words():
     a = build(preset_system("A2"))
-    words = set(fsa.accepted_words(a, 8))
+    words = set(accepted_words(a, 8))
     assert words == {(), (0,), (1,), (0, 1), (1, 0)}
 
 
@@ -182,14 +183,14 @@ def test_fc_mode_recognizes_reduced_fc_words():
 def test_fc_mode_contains_cfc_mode():
     for name in ("A3", "B3", "I2:5", "tA2"):
         system = preset_system(name)
-        assert fsa.is_subset(build(system), build(system, mode="fc"))
+        assert is_subset(build(system), build(system, mode="fc"))
 
 
 def test_accepted_language_is_rotation_closed():
     for name in ("A2", "B2", "I2:5", "I2:6", "tA1", "tA2"):
         system = preset_system(name)
         a = build(system)
-        for w in fsa.accepted_words(a, 8):
+        for w in accepted_words(a, 8):
             for r in cyclic_shifts(w):
                 assert a.accepts(r), (w, r)
 
@@ -314,7 +315,7 @@ def test_wrong_words_of_the_rank_6_cycle_found_on_live_prefixes():
     system = preset_system("tA5")
     a = fsa.trim(build(system, "pipeline"))
     assert not any(a.accepts(w) for w in TA5_WRONG_WORDS)
-    assert not [w for w in fsa.accepted_words(a, 11) if len(w) == 11]
+    assert not [w for w in accepted_words(a, 11) if len(w) == 11]
     assert not any(is_cfc(system, w) for w in TA5_WRONG_WORDS)
 
 
@@ -445,10 +446,10 @@ def test_build_equals_the_closure_over_transition(system, mode):
     # the factor steps read without reaching a sink
     cyclic = build(system, "cfc")
     want = [
-        w for w in fsa.accepted_words(linear, 6)
+        w for w in accepted_words(linear, 6)
         if _survives_every_rotation(system, w)
     ]
-    assert fsa.accepted_words(cyclic, 6) == want
+    assert accepted_words(cyclic, 6) == want
 
 
 def test_rejects_bad_mode():
@@ -533,6 +534,33 @@ def test_guided_cut_drops_no_accepted_word(system):
     # the guide afterwards
     cut = fsa.product([build(system, "cfc"), lexnf.build(system)])
     assert fsa.difference_witness(build(system, "pipeline"), cut) is None
+
+
+def _assert_factored_closure_is_the_product_closure(system):
+    # T kept per factor and T kept over the whole product give one machine,
+    # raw states and numbering included
+    parts = cfc_automaton.factors(system)
+    guide = lexnf.build(system)
+    assert (fsa.rotation_closure(parts, guide)
+            == fsa.rotation_closure([fsa.product(parts)], guide))
+
+
+CLOSURE_PRESETS = ["tA3", "tA4", "tA5", "A4", "A5", "A6", "B4", "D5", "I2:5"]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [preset_system(n) for n in CLOSURE_PRESETS] + [INF_TRIANGLE, TRIANGLE_4_INF_2],
+    ids=CLOSURE_PRESETS + ["inf-triangle", "4-inf-2-triangle"],
+)
+def test_factored_closure_is_the_product_closure(system):
+    _assert_factored_closure_is_the_product_closure(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_factored_closure_is_the_product_closure_on_random_systems(system):
+    _assert_factored_closure_is_the_product_closure(system)
 
 
 def _assert_lexnf_is_minimal(system):

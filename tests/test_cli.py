@@ -14,6 +14,7 @@ from cfcgf import cfc_automaton, core, fsa, lexnf
 from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
 from cfcgf.errors import InternalError
+from cfcgf.genfun import RationalGF
 
 
 def run(capsys, *argv):
@@ -239,6 +240,51 @@ def test_per_expression_genfun_of_the_rank_8_cycle_fits_in_256_mb():
     done = run_under_256_mb("-m", "cfcgf.cli", "genfun", "--per-expression",
                             "--system", "tA7", timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_series_past_4300_digits_exits_0():
+    # every label of this rank-8 system is infinite, so a word is CFC iff
+    # no two cyclically adjacent letters are equal, and from length 2 on
+    # the count is that of the proper 8-colourings of an n-cycle, 7^n +
+    # 7(-1)^n: 4,311 digits at n = 5,100, past the default int -> str limit
+    n = 5100
+    matrix = [[1 if i == j else "inf" for j in range(8)] for i in range(8)]
+    done = run_under_256_mb("-m", "cfcgf.cli", "series", "--system",
+                            json.dumps({"matrix": matrix}), "--max-len", str(n),
+                            timeout=60)
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout)["coeffs"][-1]
+    want = 7**n + 7
+    # checked without an int <-> str conversion of the whole count
+    assert 10 ** (len(last) - 1) <= want < 10 ** len(last)
+    assert int(last[-30:]) == want % 10**30
+
+
+def _genfun_under_256_mb(name: str, tmp_path) -> RationalGF:
+    out = tmp_path / f"{name}.json"
+    done = run_under_256_mb("-m", "cfcgf.cli", "genfun", "--system", name,
+                            "--out", str(out), timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(out.read_text())
+    return RationalGF(tuple(map(int, doc["num"])), tuple(map(int, doc["den"])))
+
+
+@pytest.mark.slow
+def test_genfun_of_a12_fits_in_256_mb(tmp_path):
+    # a finite group: a polynomial of degree the rank, whose top
+    # coefficient 2^11 counts the Coxeter elements of the path
+    gf = _genfun_under_256_mb("A12", tmp_path)
+    assert gf.den == (1,)
+    assert len(gf.num) == 13 and gf.num[12] == 2**11
+
+
+@pytest.mark.slow
+def test_genfun_of_the_rank_11_cycle_fits_in_256_mb(tmp_path):
+    # past length 10 the counts are 2^11 - 2 at the multiples of 11 and 0
+    # elsewhere, as on every smaller cycle the tests check
+    counts = _genfun_under_256_mb("tA10", tmp_path).expand(66)
+    for length in range(11, 67):
+        assert counts[length] == (2046 if length % 11 == 0 else 0), length
 
 
 def test_missing_required_argument_exits_2(capsys):

@@ -13,18 +13,16 @@ from cfcgf.core import parse_system
 from cfcgf.errors import InputError
 from cfcgf.fsa import (
     Dfa,
-    accepted_words,
     coreachable,
     difference_witness,
     equivalent,
-    is_subset,
     minimize,
     rotation_closure,
     series_quotient,
-    subset_counterexample,
     trim,
 )
 from cfcgf.genfun import count_by_length
+from helpers import accepted_words, is_subset, subset_counterexample
 
 
 def even_ones() -> Dfa:
@@ -188,21 +186,21 @@ def test_rotation_closure_of_a_small_language():
     # words over {0,1} with no factor 11: the closure also forbids a word
     # that starts and ends with 1, whose rotation joins the two
     no_11 = Dfa(2, ((0, 1), (0, 2), (2, 2)), 0, frozenset({0, 1}), dead=2)
-    c = rotation_closure(no_11)
+    c = rotation_closure([no_11])
     assert c.accepts((1, 0)) and c.accepts((0, 1, 0))
     assert not c.accepts((1, 0, 1)) and not c.accepts((1, 1))
     assert c.accepts((1,))  # its only rotation is itself
     # guided, only words of even length remain
     even = Dfa(2, ((1, 1), (0, 0)), 0, frozenset({0}))
-    g = rotation_closure(no_11, even)
+    g = rotation_closure([no_11], even)
     assert g.accepts((1, 0)) and not g.accepts((1,)) and not g.accepts((0, 1, 0))
 
 
 def test_rotation_closure_needs_a_prefix_closed_machine():
     with pytest.raises(InputError):
-        rotation_closure(even_ones())  # rejects 1, accepts 11
+        rotation_closure([even_ones()])  # rejects 1, accepts 11
     with pytest.raises(InputError):  # its "dead" state leads back to acceptance
-        rotation_closure(Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1))
+        rotation_closure([Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)])
 
 
 def test_dot_output():
@@ -414,7 +412,7 @@ def prefix_closed_dfas(draw, k):
 @st.composite
 def closure_inputs(draw):
     k = draw(st.integers(1, 3))
-    a = draw(prefix_closed_dfas(k))
+    machines = draw(st.lists(prefix_closed_dfas(k), min_size=1, max_size=3))
     guide = None
     if draw(st.booleans()):
         m = draw(st.integers(1, 4))
@@ -423,20 +421,20 @@ def closure_inputs(draw):
         )
         finals = frozenset(q for q in range(m) if draw(st.booleans()))
         guide = Dfa(k, delta, 0, finals)
-    return a, guide
+    return machines, guide
 
 
 @given(closure_inputs())
 @settings(max_examples=100, deadline=None)
 def test_rotation_closure_is_its_definition(inputs):
-    # on every word up to length 6: accepted iff every rotation is in L(a)
-    # (and the word in L(guide))
-    a, guide = inputs
-    c = rotation_closure(a, guide)
+    # on every word up to length 6: accepted iff every rotation is in
+    # every L(machine) (and the word in L(guide))
+    machines, guide = inputs
+    c = rotation_closure(machines, guide)
     for n in range(7):
-        for w in product(range(a.alphabet_size), repeat=n):
+        for w in product(range(c.alphabet_size), repeat=n):
             rotations = [w[i:] + w[:i] for i in range(max(n, 1))]
-            want = all(a.accepts(r) for r in rotations) and (
+            want = all(a.accepts(r) for a in machines for r in rotations) and (
                 guide is None or guide.accepts(w)
             )
             assert c.accepts(w) == want, w

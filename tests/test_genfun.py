@@ -16,6 +16,7 @@ from cfcgf.genfun import (
     genfun_of_dfa,
     to_rational,
 )
+from helpers import accepted_words
 
 
 def pipeline(system):
@@ -235,7 +236,7 @@ def test_counting_skips_dead_states_without_a_hint():
     assert a.dead is None
     assert a.num_states - len(fsa.coreachable(a)) > 1
     sizes = [0] * 9
-    for w in fsa.accepted_words(a, 8):
+    for w in accepted_words(a, 8):
         sizes[len(w)] += 1
     assert count_by_length(a, 8) == sizes
     empty = fsa.Dfa(2, ((1, 0), (1, 1)), 0, frozenset())
