@@ -505,7 +505,7 @@ def rotation_closure(
         t_tables.append((images, parts, alive))
     del states
     # T is packed as `product` packs the transformation machines' states
-    t_weights, t_step = _packed(t_machines)
+    t_weights, next_t = _packed(t_machines)
     per_machine = [(w, tm.num_states, *tables, m.initial, v)
                    for w, tm, tables, m, v
                    in zip(t_weights, t_machines, t_tables, machines, weights)]
@@ -583,7 +583,7 @@ def rotation_closure(
         g = guide.delta[g][c]
         if g not in g_live:
             return None
-        t = t_step(reps[tid], c)
+        t = next_t(reps[tid], c)
         if t is None:
             return None
         tid = class_of(t)
