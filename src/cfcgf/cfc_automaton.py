@@ -27,7 +27,7 @@ from .core import INF, CoxeterSystem
 from .errors import InternalError
 from .fsa import DEFAULT_STATE_BUDGET, Dfa
 
-MODES = ("fc", "cfc", "pipeline")
+MODES = ("cfc", "fc", "lexnf", "pipeline")
 
 EMPTY_CHAIN = (-1, 0)  # (last letter, length)
 
@@ -120,8 +120,10 @@ def factors(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> 
 def build(system: CoxeterSystem, mode: str = "cfc",
           state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """The machine for one stage: "fc" the linear recognizer, "cfc" its
-    rotation closure (every reduced word of every CFC element), "pipeline"
-    the closure guided by `lexnf.build` (one word per CFC element).
+    rotation closure (every reduced word of every CFC element), "lexnf"
+    `lexnf.build` (the lexicographically least word of every commutation
+    class), "pipeline" the closure guided by it (one word per CFC
+    element).
 
     The linear recognizer is the `fsa.product` of the `factors`, the cfc
     stage the product of their minimized closures, and the pipeline the
@@ -129,6 +131,8 @@ def build(system: CoxeterSystem, mode: str = "cfc",
     built.  Each machine built on the way has at most state_budget states."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
+    if mode == "lexnf":
+        return lexnf.build(system, state_budget)
     parts = factors(system, state_budget)
     if mode == "pipeline":
         return fsa.rotation_closure(parts, lexnf.build(system, state_budget),

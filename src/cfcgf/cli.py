@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import cfc_automaton, fsa, genfun, lexnf, oracle
+from . import cfc_automaton, fsa, genfun, oracle
 from .core import CoxeterSystem, parse_system
 from .errors import BudgetError, InputError, InternalError
 
@@ -27,12 +27,6 @@ def _load_system(source: str) -> CoxeterSystem:
         except UnicodeDecodeError as e:
             raise InputError(f"system file {source!r} is not UTF-8: {e}") from None
     return parse_system(text)
-
-
-def _build_stage(system: CoxeterSystem, stage: str, state_budget: int) -> fsa.Dfa:
-    if stage == "lexnf":
-        return lexnf.build(system, state_budget)
-    return cfc_automaton.build(system, stage, state_budget)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -57,7 +51,7 @@ def _print_stats(a: fsa.Dfa) -> None:
 
 def cmd_automaton(args) -> int:
     system = _load_system(args.system)
-    a = _build_stage(system, args.stage, args.state_budget)
+    a = cfc_automaton.build(system, args.stage, args.state_budget)
     if args.stats:
         _print_stats(a)
     if args.dot:
@@ -70,7 +64,9 @@ def cmd_automaton(args) -> int:
 def cmd_series(args) -> int:
     system = _load_system(args.system)
     stage = "cfc" if args.per_expression else "pipeline"
-    a = fsa.series_quotient(_build_stage(system, stage, args.state_budget))
+    a = fsa.series_quotient(
+        cfc_automaton.build(system, stage, args.state_budget)
+    )
     coeffs = genfun.count_by_length(a, args.max_len)
     doc = {"coeffs": [str(c) for c in coeffs]}
     _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -81,7 +77,7 @@ def cmd_genfun(args) -> int:
     system = _load_system(args.system)
     stage = "cfc" if args.per_expression else "pipeline"
     coeffs, gf = genfun.counted_genfun(
-        _build_stage(system, stage, args.state_budget)
+        cfc_automaton.build(system, stage, args.state_budget)
     )
     print(gf)
     if args.out:
@@ -143,7 +139,7 @@ def verify(
 
 def cmd_verify(args) -> int:
     system = _load_system(args.system)
-    a = _build_stage(system, "pipeline", args.state_budget)
+    a = cfc_automaton.build(system, "pipeline", args.state_budget)
     mismatch = verify(system, a, args.max_len, args.class_budget)
     if mismatch is None:
         print(f"ok: lengths 0..{args.max_len} agree")
@@ -201,8 +197,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("automaton", help="build an automaton, emit JSON/DOT")
     _common(p)
-    p.add_argument("--stage", choices=["cfc", "fc", "lexnf", "pipeline"],
-                   default="cfc")
+    p.add_argument("--stage", choices=cfc_automaton.MODES, default="cfc")
     p.add_argument("--stats", action="store_true",
                    help="print raw, trimmed, and minimized state counts")
     p.add_argument("--dot", help="write DOT rendering to this path")
@@ -253,7 +248,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print("error: out of memory; a smaller --state-budget stops sooner",
+        # name only the options that bound this command's work
+        shrink = " or ".join(f"--{name.replace('_', '-')}" for name in
+                             ("state_budget", "class_budget", "max_len")
+                             if hasattr(args, name))
+        print(f"error: out of memory; a smaller {shrink} stops sooner",
               file=sys.stderr)
         return 3
     except InternalError as exc:

@@ -189,9 +189,3 @@ def parse_system(text: str) -> CoxeterSystem:
             names = tuple(gens)
         return CoxeterSystem(mat, names)
     return preset_system(text)
-
-
-def serialize_system(system: CoxeterSystem) -> str:
-    """Inverse of parse_system for explicit documents (round-trips exactly)."""
-    mat = [["inf" if v == INF else v for v in row] for row in system.matrix]
-    return json.dumps({"generators": list(system.names), "matrix": mat})

@@ -385,20 +385,21 @@ def _bitmask(bits: list[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _reach(a: Dfa, guide: Dfa, g_live: set[int]) -> dict[int, int]:
+def _reach(a: Dfa, guide: Dfa) -> dict[int, int]:
     """reach[x * G + g], for G the guide's states: the bitmask of the
-    states other than dead that x reaches while the guide stays live from
-    g, over the pairs reachable from some (q0, g) with g live, by sweeps
-    in reverse discovery order until one changes nothing."""
-    G, dead, q0 = guide.num_states, a.dead, a.initial
-    pairs = [q0 * G + g for g in sorted(g_live)]
+    states other than dead that x reaches while the guide stays off its
+    dead state from g, over the pairs reachable from some (q0, g) with g
+    not dead, by sweeps in reverse discovery order until one changes
+    nothing."""
+    G, dead, q0, g_dead = guide.num_states, a.dead, a.initial, guide.dead
+    pairs = [q0 * G + g for g in range(G) if g != g_dead]
     index = {p: i for i, p in enumerate(pairs)}
     succs: list[list[int]] = []
     for p in pairs:  # grows as pairs are found
         x, g = divmod(p, G)
         out = []
         for y, h in zip(a.delta[x], guide.delta[g]):
-            if y != dead and h in g_live:
+            if y != dead and h != g_dead:
                 key = y * G + h
                 if key not in index:
                     index[key] = len(pairs)
@@ -425,9 +426,9 @@ def rotation_closure(
 ) -> Dfa:
     """Automaton for {w : every rotation of w is in L(a)}, intersected with
     L(guide) when a guide is given, where a is the `product` of the
-    machines; only words the guide keeps are explored.  Each machine must
-    accept exactly the words that avoid its dead state, as a prefix-closed
-    machine does: every state but the dead one accepts.
+    machines; only words the guide keeps are explored.  Each machine, and
+    the guide, must accept exactly the words that avoid its dead state, as
+    a prefix-closed machine does: every state but the dead one accepts.
 
     A state is (T, M, g) for the word w read so far.  T is the
     transformation x -> delta(x, w) of the states of a, and alive(T) the
@@ -436,24 +437,25 @@ def rotation_closure(
     stays alive; entries with equal r move together from then on and are
     merged by intersecting their S.  g is the guide's state.  The rotation
     vu is in L(a) iff r is in S, so a state accepts iff every entry has r
-    in S and g accepts.  Reading c moves every r to delta(r, c) and adds
-    the entry (q0, alive(T_wc)); the result is the sink when wc leaves
-    L(a), some r is dead, or the guide cannot accept.
+    in S and g is not the guide's dead state, which only the start holds,
+    and only when the guide's language is empty.  Reading c moves every r
+    to delta(r, c) and adds the entry (q0, alive(T_wc)); the result is the
+    sink when wc leaves L(a), some r is dead, or g is dead.
 
     The sink is also next when some entry, after its step and any merge,
     has S & reach(r, g) empty, where g is the guide's new state and
     reach(r, g) is the set of states other than dead that r leads to by
-    words that keep the guide live from g (r itself included).  Every
-    entry is born as r = q0 beside a live guide state and then reads the
-    letters the guide reads, so reach is needed only on the pairs of
-    states reachable from those.  Without a guide, g ranges over the one
-    state of the trivial guide (G = 1), and reach(r, g) is everything r
-    leads to.  The cut is exact: any accepting future moves r within
-    reach(r, g), and merging only shrinks S, so no rotation through that
-    split is accepted again, and the state has no accepting future.  Only
-    states that `trim` would drop go.  S itself is kept whole, not cut
-    down to reach(r, g): cutting merges a few more states on affine
-    systems but makes the closure slower.
+    words that keep the guide off its dead state from g (r itself
+    included).  Every entry is born as r = q0 beside a guide state other
+    than dead and then reads the letters the guide reads, so reach is
+    needed only on the pairs of states reachable from those.  Without a
+    guide, g ranges over the one state of the trivial guide (G = 1), and
+    reach(r, g) is everything r leads to.  The cut is exact: any accepting
+    future moves r within reach(r, g), and merging only shrinks S, so no
+    rotation through that split is accepted again, and the state has no
+    accepting future.  Only states that `trim` would drop go.  S itself is
+    kept whole, not cut down to reach(r, g): cutting merges a few more
+    states on affine systems but makes the closure slower.
 
     A state of a is a tuple of the machines' states, so T is the tuple of
     the machines' own transformations.  Each machine's transformations
@@ -470,20 +472,20 @@ def rotation_closure(
     packed as sorted (r, S id) pairs.  The states are numbered as
     `explore` numbers them, with at most state_budget of them; a and each
     transformation machine are built under that budget too."""
-    for m in machines:
-        if m.finals != frozenset(range(m.num_states)) - {m.dead}:
-            raise InputError("rotation_closure needs machines whose only "
-                             "rejecting state is their dead state")
-    a, states, weights = _product(machines, state_budget)
-    k, dead, q0 = a.alphabet_size, a.dead, a.initial
+    k = machines[0].alphabet_size
     if guide is None:
         guide = Dfa(k, ((0,) * k,), 0, frozenset({0}))
     elif guide.alphabet_size != k:
         raise InputError("cannot guide over a different alphabet")
-    g_live = coreachable(guide)
+    for m in [*machines, guide]:
+        if m.finals != frozenset(range(m.num_states)) - {m.dead}:
+            raise InputError("rotation_closure needs machines and a guide whose "
+                             "only rejecting state is their dead state")
+    a, states, weights = _product(machines, state_budget)
+    dead, q0 = a.dead, a.initial
     cols = [[row[c] for row in a.delta] for c in range(k)]
-    G = guide.num_states
-    reach = _reach(a, guide, g_live)
+    G, g_dead = guide.num_states, guide.dead
+    reach = _reach(a, guide)
 
     # per machine: its transformations, the bitmask per state of the
     # states of a with that component, and per transformation the union
@@ -581,7 +583,7 @@ def rotation_closure(
     def step(key: tuple[int, bytes, int], c: int):
         tid, m, g = key
         g = guide.delta[g][c]
-        if g not in g_live:
+        if g == g_dead:
             return None
         t = next_t(reps[tid], c)
         if t is None:
@@ -591,7 +593,7 @@ def rotation_closure(
         return None if m is None else (tid, m, g)
 
     def accepts(key: tuple[int, bytes, int]) -> bool:
-        if key[2] not in guide.finals:
+        if key[2] == g_dead:
             return False
         flat = array("I", key[1])
         return all(s_masks[flat[i + 1]] >> flat[i] & 1
@@ -621,7 +623,3 @@ def difference_witness(a: Dfa, b: Dfa) -> Word | None:
                 seen.add(nxt)
                 queue.append((nxt, word + (c,)))
     return None
-
-
-def equivalent(a: Dfa, b: Dfa) -> bool:
-    return difference_witness(a, b) is None

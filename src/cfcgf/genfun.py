@@ -138,29 +138,20 @@ def _strip(coeffs: list) -> list:
     return coeffs
 
 
-def to_rational(seq, rec: tuple[int, ...] | None = None) -> RationalGF:
+def to_rational(seq) -> RationalGF:
     """Rational form of a series prefix.  The reciprocal of the recurrence
-    becomes the denominator den, the first terms of den*seq below its
-    order the numerator num.  The pair must re-expand to the whole prefix,
-    that is den*seq = num mod x^len(seq); if the recurrence does not
-    annihilate the tail, or the input was too short to fix it, it fails.
-
-    find_recurrence gives integer coefficients (Fatou's lemma), so all
-    of this is integer arithmetic.  A caller's rec may hold any rationals
-    with a denominator, such as Fractions; one that is not an integer
-    fails the integrality check."""
-    if rec is None:
-        rec = find_recurrence(seq)
+    that find_recurrence gives, which has integer coefficients (Fatou's
+    lemma), becomes the denominator den, the first terms of den*seq below
+    its order the numerator num.  The pair must re-expand to the whole
+    prefix, that is den*seq = num mod x^len(seq); if the recurrence does
+    not annihilate the tail, or the input was too short to fix it, it
+    fails."""
+    rec = find_recurrence(seq)
     den = [1] + [-c for c in rec]
     num = _strip([sum(den[i] * seq[k - i] for i in range(k + 1))
                   for k in range(len(rec))] or [0])
-    den = _strip(den)
-    # den[0] is 1, so the pair in lowest integer terms keeps den[0] = 1
-    # only when every coefficient is an integer already
-    if any(c.denominator != 1 for c in num + den):
-        raise InternalError("denominator failed to normalize to constant 1")
-    gf = RationalGF(tuple(map(int, num)), tuple(map(int, den)))
-    if gf.expand(len(seq) - 1) != [int(x) for x in seq]:
+    gf = RationalGF(tuple(num), tuple(_strip(den)))
+    if gf.expand(len(seq) - 1) != list(seq):
         raise InternalError("re-expansion does not reproduce the series")
     return gf
 

@@ -1,9 +1,15 @@
-"""Brute-force checks that only the tests use."""
+"""Brute-force checks and conversions that only the tests use."""
 
 from __future__ import annotations
 
-from cfcgf.core import CoxeterSystem
+import json
+
+from cfcgf.core import INF, CoxeterSystem
 from cfcgf.fsa import Dfa, Word, difference_witness, product
+
+
+def equivalent(a: Dfa, b: Dfa) -> bool:
+    return difference_witness(a, b) is None
 
 
 def subset_counterexample(a: Dfa, b: Dfa) -> Word | None:
@@ -50,3 +56,9 @@ def is_lex_least(word: tuple[int, ...], system: CoxeterSystem) -> bool:
         if any(x > c for x in block):
             return False
     return True
+
+
+def serialize_system(system: CoxeterSystem) -> str:
+    """Inverse of parse_system for explicit documents (round-trips exactly)."""
+    mat = [["inf" if v == INF else v for v in row] for row in system.matrix]
+    return json.dumps({"generators": list(system.names), "matrix": mat})

@@ -457,6 +457,11 @@ def test_rejects_bad_mode():
         build(preset_system("A2"), mode="nonsense")
 
 
+def test_lexnf_stage_is_the_guide():
+    system = preset_system("B4")
+    assert build(system, "lexnf") == lexnf.build(system)
+
+
 @st.composite
 def small_systems(draw):
     rank = draw(st.integers(min_value=1, max_value=3))
@@ -546,12 +551,16 @@ def _assert_factored_closure_is_the_product_closure(system):
 
 
 CLOSURE_PRESETS = ["tA3", "tA4", "tA5", "A4", "A5", "A6", "B4", "D5", "I2:5"]
+# no preset needs the merge of packed Ts into one class; without it this
+# system's factored closure has more states than the product closure
+T_MERGE = CoxeterSystem(((1, 3, INF), (3, 1, INF), (INF, INF, 1)))
 
 
 @pytest.mark.parametrize(
     "system",
-    [preset_system(n) for n in CLOSURE_PRESETS] + [INF_TRIANGLE, TRIANGLE_4_INF_2],
-    ids=CLOSURE_PRESETS + ["inf-triangle", "4-inf-2-triangle"],
+    [preset_system(n) for n in CLOSURE_PRESETS]
+    + [INF_TRIANGLE, TRIANGLE_4_INF_2, T_MERGE],
+    ids=CLOSURE_PRESETS + ["inf-triangle", "4-inf-2-triangle", "3-inf-inf-triangle"],
 )
 def test_factored_closure_is_the_product_closure(system):
     _assert_factored_closure_is_the_product_closure(system)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cfcgf
-from cfcgf import cfc_automaton, core, fsa, lexnf
+from cfcgf import cfc_automaton, core, fsa, lexnf, oracle
 from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
 from cfcgf.errors import InternalError
@@ -186,15 +187,25 @@ def test_tiny_state_budget_exits_3(capsys):
     assert "budget" in err
 
 
-def test_out_of_memory_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("command, owner, attr, argv", [
+    ("automaton", cfc_automaton, "build", []),
+    ("oracle", oracle, "count_elements", ["--max-len", "4"]),
+    ("verify", oracle, "count_elements", ["--max-len", "4"]),
+], ids=["automaton", "oracle", "verify"])
+def test_out_of_memory_exits_3(capsys, monkeypatch, command, owner, attr, argv):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cfc_automaton, "build", exhausted)
-    code, out, err = run(capsys, "automaton", "--system", "A3")
+    monkeypatch.setattr(owner, attr, exhausted)
+    code, out, err = run(capsys, command, "--system", "A3", *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error: out of memory")
+    # the advice names only options this command takes
+    named = set(re.findall(r"--[a-z-]+", err))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert named and named <= set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
 
 
 def test_broken_pair_rule_exits_4(capsys, monkeypatch):

@@ -14,9 +14,9 @@ from cfcgf.core import (
     cyclic_shifts,
     parse_system,
     preset_system,
-    serialize_system,
 )
 from cfcgf.errors import InputError
+from helpers import serialize_system
 
 
 def test_system_is_a_hashable_value():

@@ -15,14 +15,13 @@ from cfcgf.fsa import (
     Dfa,
     coreachable,
     difference_witness,
-    equivalent,
     minimize,
     rotation_closure,
     series_quotient,
     trim,
 )
 from cfcgf.genfun import count_by_length
-from helpers import accepted_words, is_subset, subset_counterexample
+from helpers import accepted_words, equivalent, is_subset, subset_counterexample
 
 
 def even_ones() -> Dfa:
@@ -190,10 +189,15 @@ def test_rotation_closure_of_a_small_language():
     assert c.accepts((1, 0)) and c.accepts((0, 1, 0))
     assert not c.accepts((1, 0, 1)) and not c.accepts((1, 1))
     assert c.accepts((1,))  # its only rotation is itself
-    # guided, only words of even length remain
-    even = Dfa(2, ((1, 1), (0, 0)), 0, frozenset({0}))
-    g = rotation_closure([no_11], even)
-    assert g.accepts((1, 0)) and not g.accepts((1,)) and not g.accepts((0, 1, 0))
+    # guided by the words with at most two 1s, only those remain
+    at_most_two = Dfa(2, ((0, 1), (1, 2), (2, 3), (3, 3)), 0,
+                      frozenset({0, 1, 2}), dead=3)
+    g = rotation_closure([no_11], at_most_two)
+    assert g.accepts((1, 0, 1, 0)) and g.accepts((0, 1, 0))
+    assert not g.accepts((1, 0, 1, 0, 1, 0)) and not g.accepts((1, 1))
+    # a guide that starts in its dead state keeps no word, not even ()
+    empty = Dfa(2, ((0, 0),), 0, frozenset(), dead=0)
+    assert rotation_closure([no_11], empty).finals == frozenset()
 
 
 def test_rotation_closure_needs_a_prefix_closed_machine():
@@ -201,6 +205,8 @@ def test_rotation_closure_needs_a_prefix_closed_machine():
         rotation_closure([even_ones()])  # rejects 1, accepts 11
     with pytest.raises(InputError):  # its "dead" state leads back to acceptance
         rotation_closure([Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)])
+    with pytest.raises(InputError):  # the guide must be prefix-closed too
+        rotation_closure([Dfa(2, ((0, 0),), 0, frozenset({0}))], even_ones())
 
 
 def test_dot_output():
@@ -413,14 +419,7 @@ def prefix_closed_dfas(draw, k):
 def closure_inputs(draw):
     k = draw(st.integers(1, 3))
     machines = draw(st.lists(prefix_closed_dfas(k), min_size=1, max_size=3))
-    guide = None
-    if draw(st.booleans()):
-        m = draw(st.integers(1, 4))
-        delta = tuple(
-            tuple(draw(st.integers(0, m - 1)) for _ in range(k)) for _ in range(m)
-        )
-        finals = frozenset(q for q in range(m) if draw(st.booleans()))
-        guide = Dfa(k, delta, 0, finals)
+    guide = draw(st.none() | prefix_closed_dfas(k))
     return machines, guide
 
 

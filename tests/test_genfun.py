@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfcgf import cfc_automaton, fsa, lexnf
+from cfcgf import cfc_automaton, fsa, genfun, lexnf
 from cfcgf.core import CoxeterSystem, parse_system, preset_system
 from cfcgf.errors import InternalError
 from cfcgf.genfun import (
@@ -110,15 +110,12 @@ def test_rational_form_of_zero_series():
     assert str(gf) == "(0)/(1)"
 
 
-def test_explicit_recurrence_must_annihilate():
-    with pytest.raises(InternalError):
-        to_rational([1, 2, 2, 2], rec=(Fraction(2),))
-
-
-def test_rational_form_needs_integer_coefficients():
-    # 2 + x/2 + x^2/4 + ... = 2/(1 - x/2): the denominator is not integral
-    with pytest.raises(InternalError):
-        to_rational([2, 1], rec=(Fraction(1, 2),))
+def test_rational_form_is_checked_by_reexpansion(monkeypatch):
+    # a recurrence that does not annihilate the tail: 1/(1 - 2x) gives
+    # 1, 2, 4, 8, not 1, 2, 2, 2
+    monkeypatch.setattr(genfun, "find_recurrence", lambda seq: (2,))
+    with pytest.raises(InternalError, match="re-expansion"):
+        to_rational([1, 2, 2, 2])
 
 
 def test_expansion_guards_against_non_integer_coefficients():
