@@ -29,24 +29,25 @@ def _load_system(source: str) -> CoxeterSystem:
     return parse_system(text)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_or_print(pieces, out: str | None) -> None:
+    """Write a text, given in pieces, to the file out, or to stdout
+    without one."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as e:
             raise InputError(f"cannot write {out!r}: {e.strerror}") from None
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.writelines(pieces)
 
 
 def _print_stats(a: fsa.Dfa) -> None:
-    """Print the raw, trimmed and minimized state counts; the trimmed
-    machine is freed on return, before any JSON text is built."""
-    trimmed = fsa.trim(a)
-    print(f"states {a.num_states}")
-    print(f"trimmed {trimmed.num_states}")
-    print(f"minimized {fsa.minimize(trimmed).num_states}")
+    """Print the raw, trimmed and minimized state counts."""
+    raw, trimmed, minimized = fsa.state_counts(a)
+    print(f"states {raw}")
+    print(f"trimmed {trimmed}")
+    print(f"minimized {minimized}")
 
 
 def cmd_automaton(args) -> int:
@@ -55,9 +56,9 @@ def cmd_automaton(args) -> int:
     if args.stats:
         _print_stats(a)
     if args.dot:
-        _write_or_print(a.to_dot(keep_dead=args.keep_sink), args.dot)
+        _write_or_print([a.to_dot(keep_dead=args.keep_sink)], args.dot)
     if args.out or not (args.stats or args.dot):
-        _write_or_print(a.to_json(), args.out)
+        _write_or_print(a.json_pieces(), args.out)
     return 0
 
 
@@ -69,7 +70,7 @@ def cmd_series(args) -> int:
     )
     coeffs = genfun.count_by_length(a, args.max_len)
     doc = {"coeffs": [str(c) for c in coeffs]}
-    _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], args.out)
     return 0
 
 
@@ -83,7 +84,7 @@ def cmd_genfun(args) -> int:
     if args.out:
         doc = {"coeffs": [str(c) for c in coeffs]}
         doc.update(gf.to_json_dict())
-        _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], args.out)
     return 0
 
 
@@ -97,7 +98,7 @@ def cmd_oracle(args) -> int:
         witnesses=args.witnesses,
     )
     doc = report.to_json_dict()
-    _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], args.out)
     return 0
 
 

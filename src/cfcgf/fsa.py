@@ -33,15 +33,18 @@ class Dfa(Value):
         n = len(delta)
         if n == 0:
             raise InputError("automaton needs at least one state")
-        if any(len(row) != alphabet_size for row in delta):
+        if set(map(len, delta)) != {alphabet_size}:
             raise InputError("transition table width must equal alphabet size")
-        for q, row in enumerate(delta):
-            for a, r in enumerate(row):
-                if not (0 <= r < n):
-                    raise InputError(f"transition {q} --{a}--> {r} leaves the state set")
+        # min and max run in C; the rows are walked only to name the first
+        # bad transition
+        if alphabet_size and not (0 <= min(map(min, delta))
+                                  and max(map(max, delta)) < n):
+            q, a, r = next((q, a, r) for q, row in enumerate(delta)
+                           for a, r in enumerate(row) if not (0 <= r < n))
+            raise InputError(f"transition {q} --{a}--> {r} leaves the state set")
         if not (0 <= initial < n):
             raise InputError("initial state out of range")
-        if any(not (0 <= f < n) for f in finals):
+        if finals and not (0 <= min(finals) and max(finals) < n):
             raise InputError("final state out of range")
         if dead is not None:
             if not (0 <= dead < n):
@@ -79,22 +82,27 @@ class Dfa(Value):
 
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True) plus a newline.  It is written out by hand because
-        with indent set CPython falls back to its pure-Python encoder,
-        which is slow on large transition tables."""
+        sort_keys=True) plus a newline: the pieces of `json_pieces`."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
+        """`to_json`'s text in pieces, one per row of the transition table
+        and a few around them, so it can be written out without ever being
+        held whole.  It is laid out by hand because with indent set CPython
+        falls back to its pure-Python encoder, which is slow on large
+        transition tables.  Keys come in sorted order."""
+        yield '{\n  "alphabet": '
+        yield _json_array([json.dumps(x) for x in self.letter_names], 2)
+        yield f',\n  "dead": {json.dumps(self.dead)},\n  "delta": ['
         sep = ",\n      "
-        rows = [f"\n    [\n      {sep.join(map(str, row))}\n    ]," if row
-                else "\n    []," for row in self.delta]
-        rows[-1] = rows[-1][:-1]  # no comma after the last row
-        # keys in sorted order; one join, so the large text is built once
-        return "".join([
-            '{\n  "alphabet": ',
-            _json_array([json.dumps(x) for x in self.letter_names], 2),
-            ',\n  "dead": ', json.dumps(self.dead),
-            ',\n  "delta": [', *rows, '\n  ],\n  "finals": ',
-            _json_array([str(q) for q in sorted(self.finals)], 2),
-            f',\n  "initial": {self.initial},\n  "states": {self.num_states}\n}}\n',
-        ])
+        comma = ""  # none before the first row
+        for row in self.delta:
+            yield (f"{comma}\n    [\n      {sep.join(map(str, row))}\n    ]" if row
+                   else f"{comma}\n    []")
+            comma = ","
+        yield '\n  ],\n  "finals": '
+        yield _json_array([str(q) for q in sorted(self.finals)], 2)
+        yield f',\n  "initial": {self.initial},\n  "states": {self.num_states}\n}}\n'
 
     def to_dot(self, keep_dead: bool = False) -> str:
         """GraphViz rendering.  The dead state and its edges are omitted
@@ -138,30 +146,44 @@ def _json_array(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-def coreachable(dfa: Dfa) -> set[int]:
-    """States from which some accepting state can be reached."""
-    rev: list[list[int]] = [[] for _ in range(dfa.num_states)]
+def coreachable(dfa: Dfa) -> bytearray:
+    """marks[q] is 1 iff some accepting state can be reached from q.  The
+    search runs backwards over flat predecessor lists: those of r are
+    preds[start[r]:start[r + 1]]."""
+    n = dfa.num_states
+    start = array("I", bytes(4 * (n + 1)))
+    for row in dfa.delta:
+        for r in row:
+            start[r + 1] += 1
+    for r in range(n):
+        start[r + 1] += start[r]
+    fill = start[:n]
+    preds = array("I", bytes(4 * start[n]))
     for q, row in enumerate(dfa.delta):
         for r in row:
-            rev[r].append(q)
-    seen = set(dfa.finals)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
+            preds[fill[r]] = q
+            fill[r] += 1
+    marks = bytearray(n)
+    todo = list(dfa.finals)
+    for q in todo:
+        marks[q] = 1
+    while todo:
+        q = todo.pop()
+        for p in preds[start[q]:start[q + 1]]:
+            if not marks[p]:
+                marks[p] = 1
+                todo.append(p)
+    return marks
 
 
 def _bfs_order(delta, initial) -> list[int]:
     order = [initial]
-    seen = {initial}
+    seen = bytearray(len(delta))
+    seen[initial] = 1
     for q in order:
         for r in delta[q]:
-            if r not in seen:
-                seen.add(r)
+            if not seen[r]:
+                seen[r] = 1
                 order.append(r)
     return order
 
@@ -173,17 +195,17 @@ def trim(dfa: Dfa) -> Dfa:
     order: a dropped state leads only to dropped states, so each kept
     state is first found from a kept one, as in a walk over them alone."""
     keep = coreachable(dfa)
-    if dfa.initial not in keep:
+    if not keep[dfa.initial]:
         row = (0,) * dfa.alphabet_size
         return Dfa(dfa.alphabet_size, (row,), 0, frozenset(), 0, dfa.letter_names)
-    order = [q for q in _bfs_order(dfa.delta, dfa.initial) if q in keep]
+    order = [q for q in _bfs_order(dfa.delta, dfa.initial) if keep[q]]
     ids = {q: i for i, q in enumerate(order)}
-    need_dead = any(r not in keep for q in order for r in dfa.delta[q])
+    need_dead = any(not keep[r] for q in order for r in dfa.delta[q])
     dead = len(order) if need_dead else None
     delta = []
     for q in order:
         delta.append(
-            tuple(ids[r] if r in keep else dead for r in dfa.delta[q])
+            tuple(ids[r] if keep[r] else dead for r in dfa.delta[q])
         )
     if need_dead:
         delta.append((dead,) * dfa.alphabet_size)
@@ -191,7 +213,7 @@ def trim(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet_size, tuple(delta), 0, finals, dead, dfa.letter_names)
 
 
-def _refine(dfa: Dfa, as_multiset: bool) -> Dfa:
+def _refine(dfa: Dfa, as_multiset: bool) -> tuple[Dfa, list[int]]:
     """Moore refinement on the reachable part (Moore 1956).  The states
     start in two blocks, accepting and rejecting.  Each round gives every
     state the id of its signature: its block and the blocks its letters
@@ -202,7 +224,8 @@ def _refine(dfa: Dfa, as_multiset: bool) -> Dfa:
     and rejecting states apart have that property.  A block's letters
     lead where one member's do; block ids follow the first members in
     breadth-first order.  A rejecting block that only leads to itself is
-    dead."""
+    dead.  The machine comes with the block of each reachable state, in
+    breadth-first order."""
     order = _bfs_order(dfa.delta, dfa.initial)
     ids = [-1] * dfa.num_states
     for i, q in enumerate(order):
@@ -230,7 +253,7 @@ def _refine(dfa: Dfa, as_multiset: bool) -> Dfa:
     new_finals = frozenset(b for b, q in enumerate(reps) if q in finals)
     dead = next((b for b, row in enumerate(new_delta)
                  if b not in new_finals and all(r == b for r in row)), None)
-    return Dfa(k, new_delta, 0, new_finals, dead, dfa.letter_names)
+    return Dfa(k, new_delta, 0, new_finals, dead, dfa.letter_names), block
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -240,7 +263,20 @@ def minimize(dfa: Dfa) -> Dfa:
     so the output is numbered by breadth-first discovery and machines with
     the same language give the same output.  Its one state with an empty
     language, if any, is its dead state."""
-    return _refine(dfa, False)
+    return _refine(dfa, False)[0]
+
+
+def state_counts(dfa: Dfa) -> tuple[int, int, int]:
+    """The numbers of states of dfa, trim(dfa) and minimize(dfa), without
+    building trim(dfa).  minimize's dead block, if any, holds exactly the
+    reachable states with an empty language, which trim drops; trim adds
+    one dead state in their place, since the block holds the initial
+    state or is reached from a kept one."""
+    m, block = _refine(dfa, False)
+    trimmed = len(block)
+    if m.dead is not None:
+        trimmed += 1 - block.count(m.dead)
+    return dfa.num_states, trimmed, m.num_states
 
 
 def series_quotient(dfa: Dfa) -> Dfa:
@@ -254,7 +290,7 @@ def series_quotient(dfa: Dfa) -> Dfa:
     all members.  By the same induction a block counts what the member
     whose letters it copies does, so the initial block counts what dfa
     does."""
-    return _refine(dfa, True)
+    return _refine(dfa, True)[0]
 
 
 DEFAULT_STATE_BUDGET = 10**7
@@ -468,8 +504,11 @@ def rotation_closure(
     that differ only on components no state in their common alive set
     has (another component dies there) are one transformation of a, and
     share one id, so the states are those of the closure of
-    product(machines) itself.  Each S is an interned bitmask, and M is
-    packed as sorted (r, S id) pairs.  The states are numbered as
+    product(machines) itself.  Each S is an interned bitmask.  A state is
+    one key, the bytes of an array("I"): T's class id, g, then M's (r, S
+    id) pairs sorted by r.  A step moves and checks M's entries before it
+    looks up the class of the new T, so only the Ts of states that pass
+    are registered.  The states are numbered as
     `explore` numbers them, with at most state_budget of them; a and each
     transformation machine are built under that budget too."""
     k = machines[0].alphabet_size
@@ -483,13 +522,15 @@ def rotation_closure(
                              "only rejecting state is their dead state")
     a, states, weights = _product(machines, state_budget)
     dead, q0 = a.dead, a.initial
-    cols = [[row[c] for row in a.delta] for c in range(k)]
+    cols = [array("I", [row[c] for row in a.delta]) for c in range(k)]
     G, g_dead = guide.num_states, guide.dead
     reach = _reach(a, guide)
+    del a  # the columns and the reach table are all the search reads of it
 
-    # per machine: its transformations, the bitmask per state of the
-    # states of a with that component, and per transformation the union
-    # of those of the states it keeps alive
+    # per machine: its transformations with their images in one flat
+    # array, the bitmask per state of the states of a with that component,
+    # and per transformation the union of those of the states it keeps
+    # alive
     t_machines = []
     t_tables = []
     for m, w in zip(machines, weights):
@@ -503,14 +544,19 @@ def rotation_closure(
         # the parts are disjoint, so their sum is their union
         alive = [0 if t is None else sum(p for p, y in zip(parts, t) if y != m.dead)
                  for t in images]
+        # transformation i maps state y to flat[i * n + y]; the sink, zeros
+        flat = array("I")
+        for t in images:
+            flat.extend(t or (0,) * n)
         t_machines.append(tm)
-        t_tables.append((images, parts, alive))
-    del states
+        t_tables.append((n, flat, parts, alive))
+    del states, images
     # T is packed as `product` packs the transformation machines' states
     t_weights, next_t = _packed(t_machines)
     per_machine = [(w, tm.num_states, *tables, m.initial, v)
                    for w, tm, tables, m, v
                    in zip(t_weights, t_machines, t_tables, machines, weights)]
+    del t_machines, t_tables
 
     s_masks: list[int] = []
     s_ids: dict[int, int] = {}
@@ -530,10 +576,10 @@ def rotation_closure(
         """Whether packed T t and u map the states of a in mask alike: each
         machine's images differ only on states that are no component of a
         state in mask."""
-        for w, n, images, parts, *_ in per_machine:
-            ti, ui = t // w % n, u // w % n
+        for w, nt, n, images, parts, *_ in per_machine:
+            ti, ui = t // w % nt * n, u // w % nt * n
             if ti != ui and any(y != z and part & mask for y, z, part
-                                in zip(images[ti], images[ui], parts)):
+                                in zip(images[ti:ti + n], images[ui:ui + n], parts)):
                 return False
         return True
 
@@ -545,10 +591,10 @@ def rotation_closure(
         tid = t_class.get(t)
         if tid is None:
             mask, head = -1, 0
-            for w, n, images, _, alive, q0_m, v in per_machine:
-                ti = t // w % n
+            for w, nt, n, images, _, alive, q0_m, v in per_machine:
+                ti = t // w % nt
                 mask &= alive[ti]
-                head += images[ti][q0_m] * v
+                head += images[ti * n + q0_m] * v
             sid = s_id(mask)
             group = by_head.setdefault(head, [])
             tid = next((u for u in group if rep_alive[u] == sid
@@ -561,15 +607,23 @@ def rotation_closure(
             t_class[t] = tid
         return tid
 
-    def m_pack(entries: dict[int, int]) -> bytes:
-        flat = [v for r in sorted(entries) for v in (r, entries[r])]
+    def pack(tid: int, g: int, entries: dict[int, int]) -> bytes:
+        flat = [tid, g]
+        for pair in sorted(entries.items()):
+            flat += pair
         return array("I", flat).tobytes()
 
-    def m_step(m: bytes, c: int, sid: int, g: int) -> bytes | None:
-        flat = array("I", m)
+    def step(key: bytes, c: int) -> bytes | None:
+        flat = array("I", key)
+        g = guide.delta[flat[1]][c]
+        if g == g_dead:
+            return None
+        t = next_t(reps[flat[0]], c)
+        if t is None:
+            return None
         col = cols[c]
-        entries = {q0: sid}
-        for i in range(0, len(flat), 2):
+        entries: dict[int, int] = {}
+        for i in range(2, len(flat), 2):
             r, rs = col[flat[i]], flat[i + 1]
             if r == dead:
                 return None
@@ -578,30 +632,26 @@ def rotation_closure(
             if not s_masks[rs] & reach[r * G + g]:
                 return None
             entries[r] = rs
-        return m_pack(entries)
-
-    def step(key: tuple[int, bytes, int], c: int):
-        tid, m, g = key
-        g = guide.delta[g][c]
-        if g == g_dead:
-            return None
-        t = next_t(reps[tid], c)
-        if t is None:
-            return None
+        # only now the new entry (q0, alive(T)), so that T's class is
+        # looked up only for states that get this far
         tid = class_of(t)
-        m = m_step(m, c, rep_alive[tid], g)
-        return None if m is None else (tid, m, g)
+        sid = rep_alive[tid]
+        rs = entries.get(q0, sid)
+        if rs != sid:
+            sid = s_id(s_masks[rs] & s_masks[sid])
+            if not s_masks[sid] & reach[q0 * G + g]:
+                return None
+        entries[q0] = sid
+        return pack(tid, g, entries)
 
-    def accepts(key: tuple[int, bytes, int]) -> bool:
-        if key[2] == g_dead:
-            return False
-        flat = array("I", key[1])
-        return all(s_masks[flat[i + 1]] >> flat[i] & 1
-                   for i in range(0, len(flat), 2))
+    def accepts(key: bytes) -> bool:
+        flat = array("I", key)
+        return flat[1] != g_dead and all(s_masks[flat[i + 1]] >> flat[i] & 1
+                                         for i in range(2, len(flat), 2))
 
     t0 = class_of(0)
-    return explore((t0, m_pack({q0: rep_alive[t0]}), guide.initial), step,
-                   accepts, a.letter_names, state_budget)
+    return explore(pack(t0, guide.initial, {q0: rep_alive[t0]}), step,
+                   accepts, machines[0].letter_names, state_budget)
 
 
 def difference_witness(a: Dfa, b: Dfa) -> Word | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import fsa
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .value import Value
 
 
@@ -25,9 +25,9 @@ def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
     words in the others add to no later length, and there they would grow
     like alphabet**k."""
     live = fsa.coreachable(a)
-    succ = [[r for r in row if r in live] for row in a.delta]
+    succ = [[r for r in row if live[r]] for row in a.delta]
     vec = [0] * a.num_states
-    if a.initial in live:
+    if live[a.initial]:
         vec[a.initial] = 1
     out = []
     for k in range(n_max + 1):
@@ -88,11 +88,15 @@ def find_recurrence(seq) -> tuple[int, ...]:
 
 
 class RationalGF(Value):
-    """num/den in Z[x]; den[0] = 1, the pair primitive and coprime."""
+    """num/den in Z[x]; den[0] = 1, the pair primitive and coprime.  The
+    constructor checks den[0] = 1, so the expansion stays in Z."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: tuple[int, ...], den: tuple[int, ...]):
+        if not den or den[0] != 1:
+            raise InputError("a generating function's denominator must have "
+                             "constant term 1")
         self._set(num, den)
 
     def expand(self, n_max: int) -> list[int]:
@@ -101,9 +105,7 @@ class RationalGF(Value):
             acc = self.num[k] if k < len(self.num) else 0
             for i in range(1, min(k, len(self.den) - 1) + 1):
                 acc -= self.den[i] * out[k - i]
-            if acc % self.den[0]:
-                raise InternalError("expansion left the integers")
-            out.append(acc // self.den[0])
+            out.append(acc)
         return out
 
     def to_json_dict(self) -> dict:

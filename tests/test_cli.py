@@ -236,6 +236,29 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         assert err.startswith("error:") and target in err, argv
 
 
+TRIANGLE_4_INF_2 = '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}'
+
+
+@pytest.mark.parametrize("system", ["tA3", TRIANGLE_4_INF_2])
+@pytest.mark.parametrize("stage", cfc_automaton.MODES)
+def test_automaton_json_is_the_same_on_stdout_in_a_file_and_in_to_json(
+        capsys, tmp_path, system, stage):
+    # the text is written out in pieces, never held whole
+    want = cfc_automaton.build(core.parse_system(system), stage).to_json()
+    code, out, _ = run(capsys, "automaton", "--system", system, "--stage", stage)
+    assert code == 0 and out == want
+    target = tmp_path / "a.json"
+    code, out, _ = run(capsys, "automaton", "--system", system, "--stage", stage,
+                       "--stats", "--out", str(target))
+    assert code == 0 and out.startswith("states ")
+    assert target.read_bytes() == want.encode()
+    unwritable = str(tmp_path / "missing" / "a.json")
+    code, out, err = run(capsys, "automaton", "--system", system, "--stage", stage,
+                         "--out", unwritable)
+    # main returns, so no traceback escapes
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_cfc_stage_of_the_rank_8_cycle_fits_in_256_mb(tmp_path):
     # the product of the closed factors needs about 30 MB, where closing
     # the whole linear recognizer ran out

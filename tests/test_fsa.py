@@ -6,7 +6,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfcgf import cfc_automaton, fsa
 from cfcgf.core import parse_system
@@ -48,6 +48,31 @@ def test_validation():
         Dfa(1, ((0,),), 0, frozenset({0}), dead=0)
     with pytest.raises(InputError):  # the dead state leads back to acceptance
         Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)
+
+
+def test_a_valid_table_passes_the_range_check():
+    d = Dfa(3, ((1, 2, 0), (2, 2, 2), (0, 1, 2)), 0, frozenset({0, 1}))
+    assert d.num_states == 3 and d.delta[2] == (0, 1, 2)
+
+
+@pytest.mark.parametrize("delta, bad", [
+    (((0, 1), (1, 2), (3, 0)), "transition 2 --0--> 3 leaves the state set"),
+    (((0, 1), (1, 0), (0, -1)), "transition 2 --1--> -1 leaves the state set"),
+    (((5, -1), (0, 0)), "transition 0 --0--> 5 leaves the state set"),
+])
+def test_an_out_of_range_transition_is_named(delta, bad):
+    # the first bad transition, by state and then letter
+    with pytest.raises(InputError, match=re.escape(bad)):
+        Dfa(2, delta, 0, frozenset())
+
+
+def test_zero_letter_machines_are_valid():
+    assert Dfa(0, ((),), 0, frozenset({0})).accepts(())
+    d = Dfa(0, ((), ()), 0, frozenset({1}))
+    assert not d.accepts(()) and d.to_json_dict()["delta"] == [[], []]
+    assert Dfa(0, ((),), 0, frozenset(), dead=0).dead == 0
+    with pytest.raises(InputError):
+        Dfa(0, ((),), 0, frozenset({1}))
 
 
 def test_equality_ignores_letter_names():
@@ -312,6 +337,17 @@ def test_minimize_needs_no_trim_first(d):
     assert minimize(d) == minimize(trim(d))
 
 
+@given(dfas())
+# state 2 is unreachable; then a machine whose language is empty
+@example(Dfa(2, ((1, 0), (0, 3), (2, 2), (3, 3)), 0, frozenset({1, 2}), 3))
+@example(Dfa(2, ((1, 0), (2, 1), (2, 2)), 0, frozenset()))
+@settings(max_examples=80, deadline=None)
+def test_state_counts_match_trim_and_minimize(d):
+    trimmed = trim(d)
+    assert fsa.state_counts(d) == (
+        d.num_states, trimmed.num_states, minimize(trimmed).num_states)
+
+
 @given(dfas(), dfas())
 @settings(max_examples=40, deadline=None)
 def test_intersection_is_lower_bound(a, b):
@@ -358,9 +394,10 @@ def test_minimize_names_a_dead_state_iff_one_has_an_empty_language(d):
         _run(d, d.initial, w) for length in range(d.num_states)
         for w in product(range(d.alphabet_size), repeat=length)
     }
+    live = coreachable(d)
     m = minimize(d)
-    assert (m.dead is not None) == bool(reachable - coreachable(d))
-    assert m.dead is None or m.dead not in coreachable(m)
+    assert (m.dead is not None) == any(not live[q] for q in reachable)
+    assert m.dead is None or not coreachable(m)[m.dead]
 
 
 @given(dfas())
