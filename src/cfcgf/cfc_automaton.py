@@ -80,7 +80,7 @@ def _letter_step(system: CoxeterSystem, s: int, legal: int, c: int) -> int | Non
 def letter_factor(system: CoxeterSystem, s: int) -> Dfa:
     """The words that never read s where it is not legal; 3 states."""
     return fsa.explore(1, lambda q, c: _letter_step(system, s, q, c),
-                       lambda q: True, system.names, DEFAULT_STATE_BUDGET)
+                       lambda q: True, system.rank, DEFAULT_STATE_BUDGET)
 
 
 def _pair_step(
@@ -107,7 +107,7 @@ def pair_factor(system: CoxeterSystem, pair: TrackedPair,
     """The words none of whose class holds a braid of pair or repeats the
     chain's last letter."""
     return fsa.explore((EMPTY_CHAIN, 0), lambda q, c: _pair_step(system, pair, q, c),
-                       lambda q: True, system.names, state_budget)
+                       lambda q: True, system.rank, state_budget)
 
 
 def factors(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:

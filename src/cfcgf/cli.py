@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cfc_automaton, fsa, genfun, oracle
@@ -56,9 +57,9 @@ def cmd_automaton(args) -> int:
     if args.stats:
         _print_stats(a)
     if args.dot:
-        _write_or_print([a.to_dot(keep_dead=args.keep_sink)], args.dot)
+        _write_or_print([a.to_dot(system.names, keep_dead=args.keep_sink)], args.dot)
     if args.out or not (args.stats or args.dot):
-        _write_or_print(a.json_pieces(), args.out)
+        _write_or_print(a.json_pieces(system.names), args.out)
     return 0
 
 
@@ -127,7 +128,7 @@ def verify(
         return p + (c,) if p + (c,) in prefixes else None
 
     # the prefix trie of words: one state per prefix, the rest in the sink
-    trie = fsa.explore((), step, words.__contains__, system.names,
+    trie = fsa.explore((), step, words.__contains__, system.rank,
                        len(prefixes) + 1)
     witness = fsa.difference_witness(dfa, trie)
     if witness is None or len(witness) > max_len:
@@ -241,7 +242,15 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # nothing reads stdout any more: what is left in its buffer goes to
+        # os.devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

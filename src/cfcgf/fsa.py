@@ -22,14 +22,13 @@ Word = tuple[int, ...]
 
 
 class Dfa(Value):
-    """A complete DFA as an immutable value.  letter_names are for display
-    only: == and hash ignore them."""
+    """A complete DFA as an immutable value.  Its letters are 0..k-1; the
+    writers take their names."""
 
-    __slots__ = ("alphabet_size", "delta", "initial", "finals", "dead", "letter_names")
+    __slots__ = ("alphabet_size", "delta", "initial", "finals", "dead")
 
     def __init__(self, alphabet_size: int, delta: tuple[tuple[int, ...], ...],
-                 initial: int, finals: frozenset[int], dead: int | None = None,
-                 letter_names: tuple[str, ...] = ()):
+                 initial: int, finals: frozenset[int], dead: int | None = None):
         n = len(delta)
         if n == 0:
             raise InputError("automaton needs at least one state")
@@ -51,14 +50,7 @@ class Dfa(Value):
                 raise InputError("dead state out of range")
             if dead in finals or any(r != dead for r in delta[dead]):
                 raise InputError("dead state must reject and lead only to itself")
-        if not letter_names:
-            letter_names = tuple(str(a) for a in range(alphabet_size))
-        elif len(letter_names) != alphabet_size:
-            raise InputError("letter name list does not match alphabet size")
-        self._set(alphabet_size, delta, initial, finals, dead, letter_names)
-
-    def _key(self) -> tuple:
-        return (self.alphabet_size, self.delta, self.initial, self.finals, self.dead)
+        self._set(alphabet_size, delta, initial, finals, dead)
 
     @property
     def num_states(self) -> int:
@@ -70,29 +62,18 @@ class Dfa(Value):
             q = self.delta[q][a]
         return q in self.finals
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": list(self.letter_names),
-            "states": self.num_states,
-            "initial": self.initial,
-            "finals": sorted(self.finals),
-            "dead": self.dead,
-            "delta": [list(row) for row in self.delta],
-        }
-
-    def to_json(self) -> str:
-        """The text of json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True) plus a newline: the pieces of `json_pieces`."""
-        return "".join(self.json_pieces())
-
-    def json_pieces(self):
-        """`to_json`'s text in pieces, one per row of the transition table
-        and a few around them, so it can be written out without ever being
-        held whole.  It is laid out by hand because with indent set CPython
+    def json_pieces(self, names):
+        """The machine as a JSON document in pieces, one per row of the
+        transition table and a few around them, so it can be written out
+        without ever being held whole.  Joined, they are the text of
+        json.dumps(doc, indent=2, sort_keys=True) plus a newline, where doc
+        has the keys "alphabet" (names, one per letter), "states",
+        "initial", "finals" (sorted), "dead" and "delta" (the rows as
+        lists).  It is laid out by hand because with indent set CPython
         falls back to its pure-Python encoder, which is slow on large
-        transition tables.  Keys come in sorted order."""
+        transition tables."""
         yield '{\n  "alphabet": '
-        yield _json_array([json.dumps(x) for x in self.letter_names], 2)
+        yield _json_array([json.dumps(x) for x in names], 2)
         yield f',\n  "dead": {json.dumps(self.dead)},\n  "delta": ['
         sep = ",\n      "
         comma = ""  # none before the first row
@@ -104,10 +85,11 @@ class Dfa(Value):
         yield _json_array([str(q) for q in sorted(self.finals)], 2)
         yield f',\n  "initial": {self.initial},\n  "states": {self.num_states}\n}}\n'
 
-    def to_dot(self, keep_dead: bool = False) -> str:
-        """GraphViz rendering.  The dead state and its edges are omitted
-        unless asked for, since a complete automaton routes every rejected
-        word there and the clutter hides the structure."""
+    def to_dot(self, names, keep_dead: bool = False) -> str:
+        """GraphViz rendering, with names[a] labelling letter a.  The dead
+        state and its edges are omitted unless asked for, since a complete
+        automaton routes every rejected word there and the clutter hides
+        the structure."""
         skip = self.dead if (self.dead is not None and not keep_dead) else None
         lines = ["digraph dfa {", "  rankdir=LR;", '  start [shape=none, label=""];']
         for q in range(self.num_states):
@@ -123,7 +105,7 @@ class Dfa(Value):
             for a, r in enumerate(row):
                 if r == skip:
                     continue
-                grouped.setdefault(r, []).append(self.letter_names[a])
+                grouped.setdefault(r, []).append(names[a])
             for r in sorted(grouped):
                 label = ",".join(map(_dot_escape, grouped[r]))
                 lines.append(f"  q{q} -> q{r} [label=\"{label}\"];")
@@ -197,7 +179,7 @@ def trim(dfa: Dfa) -> Dfa:
     keep = coreachable(dfa)
     if not keep[dfa.initial]:
         row = (0,) * dfa.alphabet_size
-        return Dfa(dfa.alphabet_size, (row,), 0, frozenset(), 0, dfa.letter_names)
+        return Dfa(dfa.alphabet_size, (row,), 0, frozenset(), 0)
     order = [q for q in _bfs_order(dfa.delta, dfa.initial) if keep[q]]
     ids = {q: i for i, q in enumerate(order)}
     need_dead = any(not keep[r] for q in order for r in dfa.delta[q])
@@ -210,7 +192,7 @@ def trim(dfa: Dfa) -> Dfa:
     if need_dead:
         delta.append((dead,) * dfa.alphabet_size)
     finals = frozenset(ids[q] for q in dfa.finals if q in ids)
-    return Dfa(dfa.alphabet_size, tuple(delta), 0, finals, dead, dfa.letter_names)
+    return Dfa(dfa.alphabet_size, tuple(delta), 0, finals, dead)
 
 
 def _refine(dfa: Dfa, as_multiset: bool) -> tuple[Dfa, list[int]]:
@@ -253,7 +235,7 @@ def _refine(dfa: Dfa, as_multiset: bool) -> tuple[Dfa, list[int]]:
     new_finals = frozenset(b for b, q in enumerate(reps) if q in finals)
     dead = next((b for b, row in enumerate(new_delta)
                  if b not in new_finals and all(r == b for r in row)), None)
-    return Dfa(k, new_delta, 0, new_finals, dead, dfa.letter_names), block
+    return Dfa(k, new_delta, 0, new_finals, dead), block
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -296,22 +278,21 @@ def series_quotient(dfa: Dfa) -> Dfa:
 DEFAULT_STATE_BUDGET = 10**7
 
 
-def explore(start, step, accepts, letter_names, state_budget: int) -> Dfa:
+def explore(start, step, accepts, alphabet_size: int, state_budget: int) -> Dfa:
     """The machine of the breadth-first closure of step from start, where
-    step(q, c) is the successor of state q on letter c, or None for the
-    sink.  Its states are numbered in discovery order with the start at 0
-    and the sink at 1, its dead state; a found state q accepts iff
-    accepts(q).  At most state_budget states are allowed, the sink
+    step(q, c) is the successor of state q on letter c < alphabet_size, or
+    None for the sink.  Its states are numbered in discovery order with the
+    start at 0 and the sink at 1, its dead state; a found state q accepts
+    iff accepts(q).  At most state_budget states are allowed, the sink
     included."""
-    return _explore(start, step, accepts, letter_names, state_budget)[0]
+    return _explore(start, step, accepts, alphabet_size, state_budget)[0]
 
 
-def _explore(start, step, accepts, letter_names, state_budget: int):
+def _explore(start, step, accepts, alphabet_size: int, state_budget: int):
     """`explore`'s machine and its states, numbered as the machine numbers
     them, with None for the sink."""
     if state_budget < 2:  # the start and the sink
         raise BudgetError(f"state budget {state_budget} exceeded while building")
-    alphabet_size = len(letter_names)
     states = [start, None]
     numbered = {start: 0}
     delta: list[tuple[int, ...]] = []
@@ -336,7 +317,7 @@ def _explore(start, step, accepts, letter_names, state_budget: int):
     finals = frozenset(
         i for i, q in enumerate(states) if q is not None and accepts(q)
     )
-    return Dfa(alphabet_size, tuple(delta), 0, finals, 1, letter_names), states
+    return Dfa(alphabet_size, tuple(delta), 0, finals, 1), states
 
 
 def _packed(machines: list[Dfa]):
@@ -393,7 +374,8 @@ def _product(machines: list[Dfa], state_budget: int):
         return all(x // w % n in finals for w, n, finals in checks)
 
     start = sum(a.initial * w for a, w in zip(machines, weights))
-    a, states = _explore(start, step, accepts, machines[0].letter_names, state_budget)
+    a, states = _explore(start, step, accepts, machines[0].alphabet_size,
+                         state_budget)
     return a, states, weights
 
 
@@ -410,7 +392,7 @@ def _transformations(a: Dfa, state_budget: int):
         return None if col[t[q0]] == dead else tuple(map(col.__getitem__, t))
 
     return _explore(tuple(range(a.num_states)), step, lambda t: True,
-                    a.letter_names, state_budget)
+                    a.alphabet_size, state_budget)
 
 
 def _bitmask(bits: list[int], size: int) -> int:
@@ -651,7 +633,7 @@ def rotation_closure(
 
     t0 = class_of(0)
     return explore(pack(t0, guide.initial, {q0: rep_alive[t0]}), step,
-                   accepts, machines[0].letter_names, state_budget)
+                   accepts, k, state_budget)
 
 
 def difference_witness(a: Dfa, b: Dfa) -> Word | None:

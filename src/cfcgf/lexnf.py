@@ -41,4 +41,4 @@ def build(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> Df
             return None
         return q & keep[c] | smaller[c]
 
-    return explore(0, step, lambda q: True, system.names, state_budget)
+    return explore(0, step, lambda q: True, system.rank, state_budget)

@@ -2,8 +2,7 @@
 
 A subclass lists its fields in ``__slots__``, in constructor order, and
 sets them once, at the end of ``__init__``, with ``_set``.  After that
-the instance is read-only; ``==`` and ``hash`` compare ``_key()``, which is
-every field unless the subclass narrows it.
+the instance is read-only; ``==``, ``hash`` and pickling use every field.
 """
 
 from __future__ import annotations
@@ -25,16 +24,13 @@ class Value:
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
 
-    def _key(self) -> tuple:
-        return self._fields()
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._fields() == other._fields()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields()))

@@ -44,6 +44,23 @@ def accepted_words(dfa: Dfa, max_len: int) -> list[Word]:
     return out
 
 
+def to_json_dict(a: Dfa, names) -> dict:
+    """The document `Dfa.json_pieces` writes, with names[c] for letter c."""
+    return {
+        "alphabet": list(names),
+        "states": a.num_states,
+        "initial": a.initial,
+        "finals": sorted(a.finals),
+        "dead": a.dead,
+        "delta": [list(row) for row in a.delta],
+    }
+
+
+def to_json(a: Dfa, names) -> str:
+    """The text `Dfa.json_pieces` writes, joined."""
+    return "".join(a.json_pieces(names))
+
+
 def is_lex_least(word: tuple[int, ...], system: CoxeterSystem) -> bool:
     """Whether no letter of word can commute backwards past a block
     holding a larger letter; the criterion `lexnf.build` applies."""

@@ -161,7 +161,7 @@ def test_02_state_census_of_the_rank_4_cycle(capsys):
     oracle_calls = oracle.cache_info().misses
     near_miss = fsa.minimize(fsa.Dfa(
         minimal.alphabet_size, minimal.delta, minimal.initial,
-        minimal.finals ^ {1}, None, minimal.letter_names,
+        minimal.finals ^ {1}, None,
     ))
     _, near_miss_unseparated = nerode_certificate(near_miss, oracle)
     ok = (

@@ -69,7 +69,7 @@ def test_builds_are_reproducible():
     b = build(preset_system("B3"))
     assert a.delta == b.delta
     assert a.finals == b.finals
-    assert a.to_json() == b.to_json()
+    assert a == b
 
 
 def test_a1_has_three_states():

@@ -16,12 +16,18 @@ from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
 from cfcgf.errors import InternalError
 from cfcgf.genfun import RationalGF
+from helpers import to_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this cfcgf."""
+    return dict(os.environ, PYTHONPATH=str(Path(cfcgf.__file__).resolve().parents[1]))
 
 
 def run_under_256_mb(*args: str, timeout: int) -> subprocess.CompletedProcess:
@@ -31,9 +37,7 @@ def run_under_256_mb(*args: str, timeout: int) -> subprocess.CompletedProcess:
         limit = 256 << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(cfcgf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], preexec_fn=cap, env=env,
+    return subprocess.run([sys.executable, *args], preexec_fn=cap, env=child_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -74,7 +78,7 @@ def test_verify_reports_words_only_the_oracle_accepts(capsys, monkeypatch):
         a = exact(system, mode)
         q = a.delta[a.delta[a.initial][0]][1]
         return fsa.Dfa(a.alphabet_size, a.delta, a.initial, a.finals - {q},
-                       a.dead, a.letter_names)
+                       a.dead)
 
     monkeypatch.setattr(cfc_automaton, "build", missing)
     code, out, _ = run(capsys, "verify", "--system", "B3", "--max-len", "4")
@@ -90,7 +94,7 @@ def reversed_pipeline(system):
     # instead of the least one, so every length has the right count
     a = cfc_automaton.build(system, "pipeline")
     return fsa.Dfa(a.alphabet_size, tuple(row[::-1] for row in a.delta),
-                   a.initial, a.finals, a.dead, a.letter_names)
+                   a.initial, a.finals, a.dead)
 
 
 def test_verify_compares_words_not_counts():
@@ -121,7 +125,7 @@ a = cfc_automaton.build(system, "pipeline")
 # the pipeline's words plus every word of length 10
 machine = fsa.explore(
     (a.initial, 0), lambda q, c: (a.delta[q[0]][c], min(q[1] + 1, 11)),
-    lambda q: q[0] in a.finals or q[1] == 10, a.letter_names, 10**6)
+    lambda q: q[0] in a.finals or q[1] == 10, a.alphabet_size, 10**6)
 print(verify(system, machine, 10))
 """
 
@@ -236,6 +240,23 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         assert err.startswith("error:") and target in err, argv
 
 
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # nothing reads the pipe: its read end is closed before the child
+    # writes its first byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cfcgf.cli", "automaton", "--system", "tA6"],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
 TRIANGLE_4_INF_2 = '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}'
 
 
@@ -244,7 +265,8 @@ TRIANGLE_4_INF_2 = '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}'
 def test_automaton_json_is_the_same_on_stdout_in_a_file_and_in_to_json(
         capsys, tmp_path, system, stage):
     # the text is written out in pieces, never held whole
-    want = cfc_automaton.build(core.parse_system(system), stage).to_json()
+    parsed = core.parse_system(system)
+    want = to_json(cfc_automaton.build(parsed, stage), parsed.names)
     code, out, _ = run(capsys, "automaton", "--system", system, "--stage", stage)
     assert code == 0 and out == want
     target = tmp_path / "a.json"
@@ -450,6 +472,26 @@ def test_automaton_dot_output(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("stage", cfc_automaton.MODES)
+def test_automaton_writes_the_system_generator_names(capsys, tmp_path, stage):
+    names = ['b"q', "é", "line\nbreak"]
+    system = json.dumps({"generators": names,
+                         "matrix": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]})
+    out, dot = tmp_path / "a.json", tmp_path / "a.dot"
+    code, _, _ = run(capsys, "automaton", "--system", system, "--stage", stage,
+                     "--out", str(out), "--dot", str(dot))
+    assert code == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["alphabet"] == names
+    # inside a DOT string a backslash, a quote and a newline are escaped
+    escaped = {n.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+               for n in names}
+    labels = [m.group(1) for m in re.finditer(r'^  q\d+ -> q\d+ \[label="(.*)"\];$',
+                                              dot.read_text(encoding="utf-8"), re.M)]
+    assert labels
+    used = [part for label in labels for part in label.split(",")]
+    assert set(used) == escaped
 
 
 def test_system_from_file(capsys, tmp_path):

@@ -233,7 +233,7 @@ def test_counting_skips_dead_states_without_a_hint():
     # dead, none is, and accepted_words then walks all words
     system = preset_system("B3")
     p = fsa.product([cfc_automaton.build(system), lexnf.build(system)])
-    a = fsa.Dfa(p.alphabet_size, p.delta, p.initial, p.finals, None, p.letter_names)
+    a = fsa.Dfa(p.alphabet_size, p.delta, p.initial, p.finals, None)
     assert a.dead is None
     assert a.num_states - sum(fsa.coreachable(a)) > 1
     sizes = [0] * 9
