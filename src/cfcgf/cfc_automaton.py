@@ -7,7 +7,10 @@ of length m(s,t) for a finite label (Stembridge 1996).  That is a
 conjunction of conditions on one letter or one pair each, so the linear
 recognizer is the product of one small machine, a factor, per condition:
 a letter factor keeps one bit, whether its letter is legal, and a pair
-factor keeps the pair's chain and the braid watches the chain armed.
+factor keeps the pair's chain and the braid watches the chain armed.  A
+pair factor also sinks where either of its letters repeats, so each
+condition is checked once: a letter has its own factor only when no pair
+with a finite label holds it.
 
 The reduced words of CFC elements are the words whose every rotation is a
 reduced FC word (Boothby et al., J. Algebraic Combin. 2012).  Every
@@ -111,10 +114,15 @@ def pair_factor(system: CoxeterSystem, pair: TrackedPair,
 
 
 def factors(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:
-    """The letter factors, then the pair factors; their product accepts the
-    reduced FC words."""
-    return ([letter_factor(system, s) for s in system.generators]
-            + [pair_factor(system, p, state_budget) for p in finite_pairs(system)])
+    """A letter factor for each letter in no finite pair, then one pair
+    factor per finite pair; their product accepts the reduced FC words.
+    A pair's chain ends in a letter x of the pair exactly while x is not
+    legal, and reading x then sinks it, so the pair factor implies the
+    letter factors of both its letters, which are left out."""
+    pairs = finite_pairs(system)
+    covered = {x for p in pairs for x in (p.s, p.t)}
+    return ([letter_factor(system, s) for s in system.generators if s not in covered]
+            + [pair_factor(system, p, state_budget) for p in pairs])
 
 
 def build(system: CoxeterSystem, mode: str = "cfc",

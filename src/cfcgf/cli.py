@@ -57,7 +57,7 @@ def cmd_automaton(args) -> int:
     if args.stats:
         _print_stats(a)
     if args.dot:
-        _write_or_print([a.to_dot(system.names, keep_dead=args.keep_sink)], args.dot)
+        _write_or_print(a.to_dot(system.names, keep_dead=args.keep_sink), args.dot)
     if args.out or not (args.stats or args.dot):
         _write_or_print(a.json_pieces(system.names), args.out)
     return 0

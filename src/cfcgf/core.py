@@ -23,7 +23,7 @@ class CoxeterSystem(Value):
     __slots__ = ("matrix", "names")
 
     def __init__(self, matrix: tuple[tuple[int | float, ...], ...],
-                 names: tuple[str, ...] = ()):
+                 names: tuple[str, ...] | None = None):
         m = matrix
         n = len(m)
         if n < 1:
@@ -43,7 +43,7 @@ class CoxeterSystem(Value):
                     raise InputError(
                         f"off-diagonal entry m[{i}][{j}]={v!r} must be an integer >= 2 or infinity"
                     )
-        if not names:
+        if names is None:
             names = tuple(str(i) for i in range(n))
         elif len(names) != n:
             raise InputError("generator name list does not match matrix size")
@@ -181,7 +181,7 @@ def parse_system(text: str) -> CoxeterSystem:
             tuple(_entry_from_json(v, f"({i},{j})") for j, v in enumerate(row))
             for i, row in enumerate(raw)
         )
-        names: tuple[str, ...] = ()
+        names = None
         if "generators" in doc:
             gens = doc["generators"]
             if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):

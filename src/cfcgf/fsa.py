@@ -85,19 +85,22 @@ class Dfa(Value):
         yield _json_array([str(q) for q in sorted(self.finals)], 2)
         yield f',\n  "initial": {self.initial},\n  "states": {self.num_states}\n}}\n'
 
-    def to_dot(self, names, keep_dead: bool = False) -> str:
-        """GraphViz rendering, with names[a] labelling letter a.  The dead
-        state and its edges are omitted unless asked for, since a complete
-        automaton routes every rejected word there and the clutter hides
-        the structure."""
+    def to_dot(self, names, keep_dead: bool = False):
+        """GraphViz rendering, with names[a] labelling letter a, in pieces,
+        one per line, as `json_pieces` gives the JSON.  The dead state and
+        its edges are omitted unless asked for, since a complete automaton
+        routes every rejected word there and the clutter hides the
+        structure."""
         skip = self.dead if (self.dead is not None and not keep_dead) else None
-        lines = ["digraph dfa {", "  rankdir=LR;", '  start [shape=none, label=""];']
+        yield "digraph dfa {\n"
+        yield "  rankdir=LR;\n"
+        yield '  start [shape=none, label=""];\n'
         for q in range(self.num_states):
             if q == skip:
                 continue
             shape = "doublecircle" if q in self.finals else "circle"
-            lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
-        lines.append(f"  start -> q{self.initial};")
+            yield f"  q{q} [shape={shape}, label=\"{q}\"];\n"
+        yield f"  start -> q{self.initial};\n"
         for q, row in enumerate(self.delta):
             if q == skip:
                 continue
@@ -108,9 +111,8 @@ class Dfa(Value):
                 grouped.setdefault(r, []).append(names[a])
             for r in sorted(grouped):
                 label = ",".join(map(_dot_escape, grouped[r]))
-                lines.append(f"  q{q} -> q{r} [label=\"{label}\"];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                yield f"  q{q} -> q{r} [label=\"{label}\"];\n"
+        yield "}\n"
 
 
 def _dot_escape(name: str) -> str:
@@ -490,7 +492,11 @@ def rotation_closure(
     one key, the bytes of an array("I"): T's class id, g, then M's (r, S
     id) pairs sorted by r.  A step moves and checks M's entries before it
     looks up the class of the new T, so only the Ts of states that pass
-    are registered.  The states are numbered as
+    are registered.  Each machine adds a component to T, a bitmask to
+    alive(T) and a digit to the packed T, so a machine whose language
+    holds another's adds work and no states: leave it out, as
+    `cfc_automaton.factors` leaves out the letter factors its pair
+    factors imply.  The states are numbered as
     `explore` numbers them, with at most state_budget of them; a and each
     transformation machine are built under that budget too."""
     k = machines[0].alphabet_size

@@ -36,16 +36,16 @@ TRIANGLE_4_INF_2 = parse_system(
 # included
 EXPECTED_STATES = {
     "A1": 3,
-    "A2": 6,
+    "A2": 5,
     "A3": 15,
     "A4": 43,
-    "B2": 6,
+    "B2": 5,
     "B3": 25,
     "B4": 84,
     "D4": 49,
-    "I2:5": 10,
-    "I2:6": 10,
-    "I2:7": 14,
+    "I2:5": 9,
+    "I2:6": 9,
+    "I2:7": 13,
     "tA1": 8,
     "tA2": 29,
     "tA3": 100,
@@ -56,6 +56,11 @@ def test_state_census_frozen():
     for name, expected in EXPECTED_STATES.items():
         assert build(preset_system(name)).num_states == expected, name
     assert build(INF_TRIANGLE).num_states == 14
+    # a rank-2 system with a finite label has one factor, its pair
+    # factor, and the product of that one closed factor is minimal
+    for name in ("A2", "B2", "I2:5", "I2:6", "I2:7"):
+        a = build(preset_system(name))
+        assert a.num_states == fsa.minimize(a).num_states, name
     assert build(preset_system("A6"), "cfc").num_states == 430
     # states with no accepting future are cut while the closure is built
     assert build(preset_system("A7"), "pipeline").num_states == 611
@@ -570,6 +575,39 @@ def test_factored_closure_is_the_product_closure(system):
 @given(small_systems())
 def test_factored_closure_is_the_product_closure_on_random_systems(system):
     _assert_factored_closure_is_the_product_closure(system)
+
+
+def _assert_covered_letter_factors_are_redundant(system):
+    # a pair factor's language lies in the letter factors' languages of
+    # both its letters, so leaving those letter factors out of the product
+    # changes neither the linear recognizer nor the guided closure, raw
+    # states and numbering included
+    for p in finite_pairs(system):
+        pair = cfc_automaton.pair_factor(system, p)
+        for x in (p.s, p.t):
+            assert is_subset(pair, cfc_automaton.letter_factor(system, x)), (p, x)
+    parts = cfc_automaton.factors(system)
+    every = ([cfc_automaton.letter_factor(system, s) for s in system.generators]
+             + [cfc_automaton.pair_factor(system, p) for p in finite_pairs(system)])
+    assert fsa.product(parts) == fsa.product(every)
+    guide = lexnf.build(system)
+    assert fsa.rotation_closure(parts, guide) == fsa.rotation_closure(every, guide)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [preset_system(n) for n in CLOSURE_PRESETS]
+    + [INF_TRIANGLE, TRIANGLE_4_INF_2, T_MERGE],
+    ids=CLOSURE_PRESETS + ["inf-triangle", "4-inf-2-triangle", "3-inf-inf-triangle"],
+)
+def test_covered_letter_factors_are_redundant(system):
+    _assert_covered_letter_factors_are_redundant(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_covered_letter_factors_are_redundant_on_random_systems(system):
+    _assert_covered_letter_factors_are_redundant(system)
 
 
 def _assert_lexnf_is_minimal(system):

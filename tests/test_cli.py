@@ -159,6 +159,7 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
         {"matrix": [[1 if i == j else 2 for j in range(17)] for i in range(17)]}
     )
     repeated = json.dumps({"generators": ["a", "a"], "matrix": [[1, 3], [3, 1]]})
+    unnamed = json.dumps({"generators": [], "matrix": [[1, 3], [3, 1]]})
     for argv, message in [
         (("series", "--system", '{"matrix": [1, 2]}', "--max-len", "3"),
          "list of rows"),
@@ -166,6 +167,7 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
         (("genfun", "--system", rank_17), "rank"),
         (("genfun", "--system", repeated), "distinct"),
         (("verify", "--system", repeated, "--max-len", "3"), "distinct"),
+        (("genfun", "--system", unnamed), "matrix size"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -462,7 +464,7 @@ def test_automaton_json_roundtrip(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["initial"] == 0
-    assert len(doc["delta"]) == 6
+    assert len(doc["delta"]) == 5
 
 
 def test_automaton_dot_output(capsys, tmp_path):

@@ -66,6 +66,12 @@ def test_default_names():
 def test_name_length_mismatch():
     with pytest.raises(InputError):
         CoxeterSystem(((1, 2), (2, 1)), names=("a",))
+    # an empty list is given names, not missing ones
+    with pytest.raises(InputError, match="matrix size"):
+        CoxeterSystem(((1, 2), (2, 1)), names=())
+    doc = {"generators": [], "matrix": [[1, 3], [3, 1]]}
+    with pytest.raises(InputError, match="matrix size"):
+        parse_system(json.dumps(doc))
 
 
 def test_commutes_is_irreflexive():

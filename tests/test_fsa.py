@@ -240,11 +240,13 @@ def test_rotation_closure_needs_a_prefix_closed_machine():
 
 def test_dot_output():
     d = Dfa(2, ((1, 2), (1, 2), (2, 2)), 0, frozenset({1}), dead=2)
-    dot = d.to_dot(("a", "b"))
+    pieces = list(d.to_dot(("a", "b")))
+    assert all(p.count("\n") == 1 and p.endswith("\n") for p in pieces)
+    dot = "".join(pieces)
     assert "q2" not in dot
     assert "doublecircle" in dot
     assert 'q0 -> q1 [label="a"];' in dot
-    full = d.to_dot(("a", "b"), keep_dead=True)
+    full = "".join(d.to_dot(("a", "b"), keep_dead=True))
     assert "q2" in full
 
 
@@ -254,7 +256,8 @@ def test_dot_labels_escape_quotes_and_backslashes():
         "generators": ['b"q', "back\\slash", 'line\nbreak'],
         "matrix": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
     }))
-    dot = cfc_automaton.build(system, "pipeline").to_dot(system.names, keep_dead=True)
+    a = cfc_automaton.build(system, "pipeline")
+    dot = "".join(a.to_dot(system.names, keep_dead=True))
     labels = [line.split("label=", 1)[1] for line in dot.splitlines()
               if "label=" in line]
     assert len(labels) > 3
