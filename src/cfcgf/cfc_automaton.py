@@ -80,10 +80,11 @@ def _letter_step(system: CoxeterSystem, s: int, legal: int, c: int) -> int | Non
     return legal if system.commutes(s, c) else 1
 
 
-def letter_factor(system: CoxeterSystem, s: int) -> Dfa:
+def letter_factor(system: CoxeterSystem, s: int,
+                  state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """The words that never read s where it is not legal; 3 states."""
     return fsa.explore(1, lambda q, c: _letter_step(system, s, q, c),
-                       lambda q: True, system.rank, DEFAULT_STATE_BUDGET)
+                       lambda q: True, system.rank, state_budget)
 
 
 def _pair_step(
@@ -121,7 +122,8 @@ def factors(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> 
     letter factors of both its letters, which are left out."""
     pairs = finite_pairs(system)
     covered = {x for p in pairs for x in (p.s, p.t)}
-    return ([letter_factor(system, s) for s in system.generators if s not in covered]
+    return ([letter_factor(system, s, state_budget)
+             for s in system.generators if s not in covered]
             + [pair_factor(system, p, state_budget) for p in pairs])
 
 

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Commands: automaton, series, genfun, oracle, verify.  Exit codes: 0 ok,
-1 verification mismatch, 2 invalid input, 3 budget exceeded or out of
-memory, 4 internal invariant violation.
+1 verification mismatch, 2 a stdout that cannot be written, 3 out of
+memory, and otherwise the `exit_code` of the package error raised.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from . import cfc_automaton, fsa, genfun, oracle
 from .core import CoxeterSystem, parse_system
-from .errors import BudgetError, InputError, InternalError
+from .errors import CfcError, InputError
 
 
 def _load_system(source: str) -> CoxeterSystem:
@@ -43,12 +43,15 @@ def _write_or_print(pieces, out: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
+def _write_json(doc: dict, out: str | None) -> None:
+    """Write doc as indented JSON with sorted keys to out, or to stdout."""
+    _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], out)
+
+
 def _print_stats(a: fsa.Dfa) -> None:
     """Print the raw, trimmed and minimized state counts."""
     raw, trimmed, minimized = fsa.state_counts(a)
-    print(f"states {raw}")
-    print(f"trimmed {trimmed}")
-    print(f"minimized {minimized}")
+    print(f"states {raw}\ntrimmed {trimmed}\nminimized {minimized}")
 
 
 def cmd_automaton(args) -> int:
@@ -70,8 +73,7 @@ def cmd_series(args) -> int:
         cfc_automaton.build(system, stage, args.state_budget)
     )
     coeffs = genfun.count_by_length(a, args.max_len)
-    doc = {"coeffs": [str(c) for c in coeffs]}
-    _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], args.out)
+    _write_json({"coeffs": [str(c) for c in coeffs]}, args.out)
     return 0
 
 
@@ -83,9 +85,8 @@ def cmd_genfun(args) -> int:
     )
     print(gf)
     if args.out:
-        doc = {"coeffs": [str(c) for c in coeffs]}
-        doc.update(gf.to_json_dict())
-        _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], args.out)
+        _write_json({"coeffs": [str(c) for c in coeffs], **gf.to_json_dict()},
+                    args.out)
     return 0
 
 
@@ -98,8 +99,7 @@ def cmd_oracle(args) -> int:
         budget=args.class_budget,
         witnesses=args.witnesses,
     )
-    doc = report.to_json_dict()
-    _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], args.out)
+    _write_json(report.to_json_dict(), args.out)
     return 0
 
 
@@ -239,35 +239,31 @@ def main(argv=None) -> int:
     # counts and coefficients can pass the 4,300 digits that int -> str
     # allows by default on Python 3.10.7 and later
     getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        sys.stdout.flush()  # a stdout that cannot be written fails here, not at exit
         return code
-    except BrokenPipeError as exc:
-        # nothing reads stdout any more: what is left in its buffer goes to
-        # os.devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except CfcError as exc:
+        code, message = exc.exit_code, str(exc)
     except MemoryError:
         # name only the options that bound this command's work
         shrink = " or ".join(f"--{name.replace('_', '-')}" for name in
                              ("state_budget", "class_budget", "max_len")
                              if hasattr(args, name))
-        print(f"error: out of memory; a smaller {shrink} stops sooner",
-              file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, message = 3, f"out of memory; a smaller {shrink} stops sooner"
+    except OSError as exc:
+        # commands report their files' errors as InputError: this is stdout's
+        code, message = 2, f"cannot write stdout: {exc.strerror}"
+    # flush what stdout holds, then the error line; a stream that cannot be
+    # written is pointed at os.devnull, so the flush at exit cannot fail again
+    for stream, text in ((sys.stdout, ""), (sys.stderr, f"error: {message}\n")):
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -392,6 +392,12 @@ def test_state_budget_is_enforced():
         build(preset_system("I2:1000000"), "fc", state_budget=100)
 
 
+def test_letter_factors_are_built_under_the_state_budget():
+    # tA1 has no finite pair, so its factors are two 3-state letter factors
+    with pytest.raises(BudgetError):
+        cfc_automaton.factors(preset_system("tA1"), state_budget=2)
+
+
 @pytest.mark.parametrize("mode", ["cfc", "fc"])
 def test_state_budget_counts_every_state(mode):
     # in fc mode the largest machine B3 needs is the product, 16 states; in

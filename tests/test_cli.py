@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end."""
 
+import errno
 import json
 import os
 import re
@@ -242,21 +243,40 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         assert err.startswith("error:") and target in err, argv
 
 
-def test_a_closed_stdout_exits_2_without_a_traceback():
-    # nothing reads the pipe: its read end is closed before the child
-    # writes its first byte
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("streams", ["stdout-pipe", "shared-pipe", "dev-full"])
+@pytest.mark.parametrize("argv", [
+    ["automaton", "--system", "tA6"],
+    ["genfun", "--system", "A3"],
+    ["series", "--system", "A3", "--max-len", "3"],
+    ["oracle", "--system", "A3", "--max-len", "3"],
+    ["verify", "--system", "A3", "--max-len", "4"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, streams, unbuffered):
+    # stdout is a pipe whose read end is closed before the child writes its
+    # first byte, that pipe shared with stderr, or a full device
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if streams == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout, reason = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        reason = errno.EPIPE
+    stderr = stdout if streams == "shared-pipe" else subprocess.PIPE
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "cfcgf.cli", "automaton", "--system", "tA6"],
-            stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
-            text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-m", "cfcgf.cli", *argv],
+                              stdout=stdout, stderr=stderr, env=env,
+                              text=True, timeout=60)
     finally:
-        os.close(write_end)
+        os.close(stdout)
     assert done.returncode == 2, done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.stderr == "error: cannot write stdout: Broken pipe\n"
+    if streams != "shared-pipe":
+        assert done.stderr == f"error: cannot write stdout: {os.strerror(reason)}\n"
 
 
 TRIANGLE_4_INF_2 = '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}'
