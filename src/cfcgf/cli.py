@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import cfc_automaton, fsa, genfun, oracle
-from .core import CoxeterSystem, parse_system
+from .core import PRESET_RE, CoxeterSystem, parse_system
 from .errors import CfcError, InputError
 
 
@@ -23,8 +23,10 @@ def _load_system(source: str) -> CoxeterSystem:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError:
-            text = source  # preset name, handled by the parser
+        except OSError as e:
+            if not PRESET_RE.match(source.strip()):
+                raise InputError(f"--system {source!r} is neither a preset name "
+                                 f"nor a readable file: {e.strerror}") from None
         except UnicodeDecodeError as e:
             raise InputError(f"system file {source!r} is not UTF-8: {e}") from None
     return parse_system(text)
@@ -240,6 +242,11 @@ def main(argv=None) -> int:
     # allows by default on Python 3.10.7 and later
     getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
     args = make_parser().parse_args(argv)
+    # a stream whose descriptor was closed at start-up is None: give it one
+    # open for reading only, so that writing there fails like any bad stream
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.open(os.devnull, os.O_RDONLY), "w"))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a stdout that cannot be written fails here, not at exit

@@ -79,7 +79,7 @@ def cyclic_shifts(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Presets and the explicit-matrix document format.
 
-_PRESET_RE = re.compile(r"^(A|B|D|tA)(\d+)$|^I2:(\d+|inf)$")
+PRESET_RE = re.compile(r"^(A|B|D|tA)(\d+)$|^I2:(\d+|inf)$")
 
 
 def _path_matrix(k: int, last: int | float = 3) -> list[list[int | float]]:
@@ -111,7 +111,7 @@ def preset_system(name: str) -> CoxeterSystem:
     The rank the name implies is checked against MAX_RANK before any
     matrix is built.
     """
-    mo = _PRESET_RE.match(name)
+    mo = PRESET_RE.match(name)
     if not mo:
         raise InputError(f"unknown system preset {name!r}")
     if mo.group(3) is not None:

@@ -455,20 +455,25 @@ def rotation_closure(
     set of states it keeps alive.  M has one entry per split w = uv: r =
     delta(q0, v), with S = alive(T_u), the set of states from which u
     stays alive; entries with equal r move together from then on and are
-    merged by intersecting their S.  g is the guide's state.  The rotation
-    vu is in L(a) iff r is in S, so a state accepts iff every entry has r
-    in S and g is not the guide's dead state, which only the start holds,
-    and only when the guide's language is empty.  Reading c moves every r
-    to delta(r, c) and adds the entry (q0, alive(T_wc)); the result is the
-    sink when wc leaves L(a), some r is dead, or g is dead.
+    merged by keeping the smaller S.  The sets are nested, since the dead
+    state is absorbing: u stays alive wherever a longer prefix of w does.
+    g is the guide's state.  The rotation vu is in L(a) iff r is in S, so
+    a state accepts iff every entry has r in S and g is not the guide's
+    dead state, which only the start holds, and only when the guide's
+    language is empty.  Reading c moves every r to delta(r, c) and adds
+    the entry (q0, alive(T_wc)), the smallest set, in place of any other
+    at q0; the result is the sink when wc leaves L(a), some r is dead, or
+    g is dead.
 
     The sink is also next when some entry, after its step and any merge,
     has S & reach(r, g) empty, where g is the guide's new state and
     reach(r, g) is the set of states other than dead that r leads to by
     words that keep the guide off its dead state from g (r itself
-    included).  Every entry is born as r = q0 beside a guide state other
-    than dead and then reads the letters the guide reads, so reach is
-    needed only on the pairs of states reachable from those.  Without a
+    included).  The new entry passes, its S holding q0 as T_wc(q0) is not
+    dead, and so does an entry kept at a merge, as it passed at this r.
+    Every entry is born as r = q0 beside a guide state other than dead and
+    then reads the letters the guide reads, so reach is needed only on the
+    pairs of states reachable from those.  Without a
     guide, g ranges over the one state of the trivial guide (G = 1), and
     reach(r, g) is everything r leads to.  The cut is exact: any accepting
     future moves r within reach(r, g), and merging only shrinks S, so no
@@ -488,7 +493,7 @@ def rotation_closure(
     that differ only on components no state in their common alive set
     has (another component dies there) are one transformation of a, and
     share one id, so the states are those of the closure of
-    product(machines) itself.  Each S is an interned bitmask.  A state is
+    product(machines) itself.  Each S is interned in `class_of`.  A state is
     one key, the bytes of an array("I"): T's class id, g, then M's (r, S
     id) pairs sorted by r.  A step moves and checks M's entries before it
     looks up the class of the new T, so only the Ts of states that pass
@@ -553,13 +558,6 @@ def rotation_closure(
     rep_alive: list[int] = []  # class id -> S id of alive(T)
     by_head: dict[int, list[int]] = {}  # T(q0), packed -> class ids
 
-    def s_id(mask: int) -> int:
-        sid = s_ids.get(mask)
-        if sid is None:
-            sid = s_ids[mask] = len(s_masks)
-            s_masks.append(mask)
-        return sid
-
     def same_on(t: int, u: int, mask: int) -> bool:
         """Whether packed T t and u map the states of a in mask alike: each
         machine's images differ only on states that are no component of a
@@ -583,7 +581,9 @@ def rotation_closure(
                 ti = t // w % nt
                 mask &= alive[ti]
                 head += images[ti * n + q0_m] * v
-            sid = s_id(mask)
+            sid = s_ids.setdefault(mask, len(s_masks))
+            if sid == len(s_masks):
+                s_masks.append(mask)
             group = by_head.setdefault(head, [])
             tid = next((u for u in group if rep_alive[u] == sid
                         and same_on(t, reps[u], mask)), None)
@@ -615,21 +615,17 @@ def rotation_closure(
             r, rs = col[flat[i]], flat[i + 1]
             if r == dead:
                 return None
-            if r in entries and entries[r] != rs:
-                rs = s_id(s_masks[entries[r]] & s_masks[rs])
+            kept = entries.get(r)
+            # keep the smaller of the nested sets; a kept one passed the cut
+            if kept is not None and s_masks[kept] & s_masks[rs] == s_masks[kept]:
+                continue
             if not s_masks[rs] & reach[r * G + g]:
                 return None
             entries[r] = rs
-        # only now the new entry (q0, alive(T)), so that T's class is
-        # looked up only for states that get this far
+        # only now the new entry (q0, alive(T)), the smallest set, so that
+        # T's class is looked up only for states that get this far
         tid = class_of(t)
-        sid = rep_alive[tid]
-        rs = entries.get(q0, sid)
-        if rs != sid:
-            sid = s_id(s_masks[rs] & s_masks[sid])
-            if not s_masks[sid] & reach[q0 * G + g]:
-                return None
-        entries[q0] = sid
+        entries[q0] = rep_alive[tid]
         return pack(tid, g, entries)
 
     def accepts(key: bytes) -> bool:

@@ -170,8 +170,3 @@ def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:
     m = fsa.series_quotient(a)
     seq = count_by_length(m, 2 * m.num_states + 2)
     return seq, to_rational(seq)
-
-
-def genfun_of_dfa(a: fsa.Dfa) -> RationalGF:
-    """Generating function of a DFA's length series (see counted_genfun)."""
-    return counted_genfun(a)[1]

@@ -211,7 +211,7 @@ def test_04_closed_forms(capsys):
     assert count_elements(suite_system("tA1"), 3, kind="cfc").counts()[3] == 0
     failures = []
     for name, (num, den) in checks.items():
-        gf = genfun.genfun_of_dfa(pipeline(suite_system(name)))
+        gf = genfun.counted_genfun(pipeline(suite_system(name)))[1]
         if (gf.num, gf.den) != (num, den):
             failures.append((name, gf.num, gf.den))
     verdict(
@@ -227,7 +227,7 @@ def test_05_rational_forms_reexpand_to_direct_counts(capsys):
     failures = []
     for name in SUITE:
         a = pipeline(suite_system(name))
-        gf = genfun.genfun_of_dfa(a)
+        gf = genfun.counted_genfun(a)[1]
         horizon = 3 * a.num_states
         if gf.expand(horizon) != genfun.count_by_length(a, horizon):
             failures.append(name)

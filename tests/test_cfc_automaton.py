@@ -2,6 +2,7 @@
 elements, checked word-for-word against the brute-force oracle."""
 
 import functools
+import hashlib
 from itertools import product
 
 import pytest
@@ -19,7 +20,7 @@ from cfcgf.core import CoxeterSystem, INF, cyclic_shifts, parse_system, preset_s
 from cfcgf.errors import BudgetError
 from cfcgf.genfun import RationalGF
 from cfcgf.oracle import count_elements, is_cfc, is_reduced_fc
-from helpers import accepted_words, is_subset
+from helpers import accepted_words, is_subset, to_json
 
 INF_TRIANGLE = parse_system(
     '{"matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]]}'
@@ -69,6 +70,33 @@ def test_state_census_frozen():
         assert build(preset_system(name), "pipeline").num_states == expected, name
 
 
+# the raw machines the benchmark's build workload emits, for their preset
+# names: fsa.state_counts of the pipeline and the fc machine, and the
+# SHA-256 of the pipeline's JSON
+BUILD_CENSUS = {
+    "tA6": ((2765, 2754, 1292), (366, 366, 366),
+            "5727dd29168c4c363fc9f796052473eeb841d8e0ba1395e39aa08785da9baf33"),
+    "tA7": ((7477, 7403, 2884), (852, 852, 852),
+            "578c2f08fbcf7ad54f16242035ccd013cdcd391dad08664d599069de2430051f"),
+    "A8": ((1598, 1598, 94), (817, 817, 810),
+           "b145579538dfe632036a1e9d4d136d426cc2fc18611b28b365389fee67606407"),
+    "A9": ((4182, 4182, 131), (1898, 1898, 1890),
+           "c668f9dd05448c890e6eb150fb5f5a7cfcb3174c11536d6c159ce10f7fc266c5"),
+    "B7": ((755, 611, 65), (445, 445, 440),
+           "311c1b2bee1611f14d7ad59ae26a596a7b5cfe2091d3113d8eab4a3ca7df510f"),
+    "D7": ((734, 632, 75), (393, 393, 387),
+           "49ad3ebe602c2ea06f0bc8b623b63cbb9186b2706f443d96279f035938cb869e"),
+}
+
+
+@pytest.mark.parametrize("name", BUILD_CENSUS)
+def test_build_workload_machines_frozen(name):
+    pipeline_counts, fc_counts, digest = BUILD_CENSUS[name]
+    system = preset_system(name)
+    a = build(system, "pipeline")
+    assert fsa.state_counts(a) == pipeline_counts
+    assert hashlib.sha256(to_json(a, system.names).encode()).hexdigest() == digest
+    assert fsa.state_counts(build(system, "fc")) == fc_counts
 def test_builds_are_reproducible():
     a = build(preset_system("B3"))
     b = build(preset_system("B3"))
@@ -362,7 +390,7 @@ def test_affine_cycle_counts_are_periodic(n):
 
 
 def test_exact_generating_function_of_the_rank_6_cycle():
-    gf = genfun.genfun_of_dfa(_pipeline("tA5"))
+    gf = genfun.counted_genfun(_pipeline("tA5"))[1]
     num = (1, 6, 21, 50, 84, 96, 61, -6, -21, -50, -84, -96)
     assert gf == RationalGF(num, (1, 0, 0, 0, 0, 0, -1))
 

@@ -141,10 +141,17 @@ def test_verify_mismatch_on_a_huge_language_fits_in_256_mb():
     ) + "\n"
 
 
-def test_unknown_system_exits_2(capsys):
+def test_unknown_system_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--system", "Z9", "--max-len", "3")
     assert code == 2
     assert err.startswith("error:")
+    # neither a preset name nor a file that can be read: the OS says why
+    for source, reason in [(str(tmp_path / "nonexist.json"), errno.ENOENT),
+                           (str(tmp_path), errno.EISDIR)]:
+        code, _, err = run(capsys, "genfun", "--system", source)
+        assert code == 2
+        assert err == (f"error: --system {source!r} is neither a preset name nor "
+                       f"a readable file: {os.strerror(reason)}\n")
 
 
 def test_malformed_matrix_exits_2(capsys, tmp_path):
@@ -244,7 +251,8 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("streams", ["stdout-pipe", "shared-pipe", "dev-full"])
+@pytest.mark.parametrize("streams", ["stdout-pipe", "shared-pipe", "dev-full",
+                                     "stdout-closed", "both-closed"])
 @pytest.mark.parametrize("argv", [
     ["automaton", "--system", "tA6"],
     ["genfun", "--system", "A3"],
@@ -254,7 +262,8 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
 ], ids=lambda argv: argv[0])
 def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, streams, unbuffered):
     # stdout is a pipe whose read end is closed before the child writes its
-    # first byte, that pipe shared with stderr, or a full device
+    # first byte, that pipe shared with stderr, a full device, or a
+    # descriptor the child starts without, alone or with stderr's
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -266,17 +275,37 @@ def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, streams, unbuffe
     else:
         read_end, stdout = os.pipe()
         os.close(read_end)
-        reason = errno.EPIPE
-    stderr = stdout if streams == "shared-pipe" else subprocess.PIPE
+        reason = errno.EBADF if streams.endswith("closed") else errno.EPIPE
+    # the descriptors the child closes before it starts Python
+    closed = {"stdout-closed": (1,), "both-closed": (1, 2)}.get(streams, ())
+    stderr = stdout if streams in ("shared-pipe", "both-closed") else subprocess.PIPE
     try:
         done = subprocess.run([sys.executable, "-m", "cfcgf.cli", *argv],
-                              stdout=stdout, stderr=stderr, env=env,
-                              text=True, timeout=60)
+                              stdout=stdout, stderr=stderr, env=env, text=True,
+                              timeout=60, preexec_fn=lambda: list(map(os.close, closed)))
     finally:
         os.close(stdout)
     assert done.returncode == 2, done.stderr
-    if streams != "shared-pipe":
+    if stderr == subprocess.PIPE:
         assert done.stderr == f"error: cannot write stdout: {os.strerror(reason)}\n"
+
+
+def test_a_closed_stream_keeps_the_commands_exit_code(tmp_path):
+    # a command that writes nothing to a stdout the child starts without
+    # succeeds, and without stderr an error keeps its own exit code
+    target = tmp_path / "a.json"
+    for argv, fd, code in [
+        (["automaton", "--system", "A3", "--out", str(target)], 1, 0),
+        (["genfun", "--system", "bogus"], 2, 2),
+        (["automaton", "--system", "B3", "--state-budget", "4"], 2, 3),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "cfcgf.cli", *argv],
+                              capture_output=True, env=child_env(), timeout=60,
+                              preexec_fn=lambda: os.close(fd))
+        assert done.returncode == code, argv
+        assert fd == 2 or done.stderr == b"", argv
+    a3 = preset_system("A3")
+    assert target.read_text() == to_json(cfc_automaton.build(a3), a3.names)
 
 
 TRIANGLE_4_INF_2 = '{"matrix": [[1, 4, 2], [4, 1, "inf"], [2, "inf", 1]]}'

@@ -13,7 +13,6 @@ from cfcgf.genfun import (
     count_by_length,
     counted_genfun,
     find_recurrence,
-    genfun_of_dfa,
     to_rational,
 )
 from helpers import accepted_words
@@ -157,14 +156,14 @@ PIPELINE_GFS = {
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_GFS))
 def test_pipeline_generating_functions_frozen(name):
-    gf = genfun_of_dfa(pipeline(preset_system(name)))
+    gf = counted_genfun(pipeline(preset_system(name)))[1]
     assert (gf.num, gf.den) == PIPELINE_GFS[name]
 
 
 @pytest.mark.parametrize("name", ["A3", "tA2", "tA3"])
 def test_rational_form_reexpands_to_the_direct_count(name):
     a = pipeline(preset_system(name))
-    gf = genfun_of_dfa(a)
+    gf = counted_genfun(a)[1]
     assert gf.expand(20) == count_by_length(a, 20)
 
 
@@ -185,7 +184,7 @@ PER_EXPRESSION_GFS = {
 
 @pytest.mark.parametrize("name", sorted(PER_EXPRESSION_GFS))
 def test_per_expression_generating_functions_frozen(name):
-    gf = genfun_of_dfa(cfc_automaton.build(preset_system(name), "cfc"))
+    gf = counted_genfun(cfc_automaton.build(preset_system(name), "cfc"))[1]
     assert (gf.num, gf.den) == PER_EXPRESSION_GFS[name]
 
 
