@@ -191,8 +191,14 @@ def _common(
                          dest="class_budget", default=oracle.DEFAULT_CLASS_BUDGET)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer drops a failed write: let main report it
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfcgf",
         description="Automata and generating functions for cyclically fully "
                     "commutative elements of Coxeter groups.",
@@ -241,13 +247,14 @@ def main(argv=None) -> int:
     # counts and coefficients can pass the 4,300 digits that int -> str
     # allows by default on Python 3.10.7 and later
     getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
-    args = make_parser().parse_args(argv)
     # a stream whose descriptor was closed at start-up is None: give it one
     # open for reading only, so that writing there fails like any bad stream
     for name in ("stdout", "stderr"):
         if getattr(sys, name) is None:
             setattr(sys, name, open(os.open(os.devnull, os.O_RDONLY), "w"))
+    args = None
     try:
+        args = make_parser().parse_args(argv)  # --help writes stdout here
         code = args.func(args)
         sys.stdout.flush()  # a stdout that cannot be written fails here, not at exit
         return code

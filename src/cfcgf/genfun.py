@@ -1,17 +1,13 @@
 """Length series and rational generating functions for automata.
 
-Counting is a transfer-matrix walk with exact integers.  The minimal
-recurrence behind a series is recovered by fraction-free Berlekamp-Massey
-over the integers: by Fatou's lemma a rational series with integer terms
-is P/Q with P, Q in Z[x] and Q(0) = 1 (Stanley, EC1 sec. 4), so no
-rational number is ever needed.  The resulting numerator/denominator pair
-is re-expanded against the input as a self-check, so a wrong answer
-cannot escape quietly.
+Counting is a transfer-matrix walk with exact integers.  By Fatou's lemma
+a rational series with integer terms is P/Q with P, Q in Z[x] and Q(0) = 1
+(Stanley, EC1 sec. 4).  Q is found by Berlekamp-Massey modulo primes,
+combined by the Chinese remainder theorem, and P/Q is accepted only if it
+re-expands to the counted prefix, so a wrong answer cannot escape quietly.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from . import fsa
 from .errors import InputError, InternalError
@@ -43,48 +39,32 @@ def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
     return out
 
 
-def find_recurrence(seq) -> tuple[int, ...]:
-    """Connection coefficients (c_1..c_L) of the shortest linear recurrence
-    a_n = sum c_i a_{n-i} valid for every n >= L in the given prefix of
-    integers.
+# The Mersenne primes 2^e - 1 for these e: known primes, so no primality
+# test, and together 19,168 bits for the coefficients of a recurrence.
+PRIMES = tuple(2**e - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203,
+                                  2281, 3217, 4253, 4423))
 
-    Berlekamp-Massey without fractions: the connection polynomial
-    C = 1 - c_1 x - ... - c_L x^L is kept in Z[x] up to a nonzero factor,
-    updated as C <- b*C - d*x^m*B (d the discrepancy now, B and b the
-    polynomial and discrepancy of the last length change, m the steps
-    since) and divided by its content after each update.  By Fatou's
-    lemma a rational series with integer terms has its reduced
-    denominator in Z[x] with constant term 1, so the primitive C of every
-    series counted here has constant term +-1; any other raises
-    InternalError."""
-    s = list(seq)
-    conn = [1]                 # connection polynomial; constant term conn[0]
-    last = [1]                 # its value at the last length change
-    last_pos = 0
-    last_delta = 1
+
+def find_recurrence(seq, p: int) -> tuple[int, ...]:
+    """Connection coefficients (c_1..c_L) mod p, each in [0, p), of the
+    shortest linear recurrence a_n = sum c_i a_{n-i} mod p valid for every
+    n >= L in the given prefix of integers: textbook Berlekamp-Massey over
+    GF(p), with connection polynomial C = 1 - c_1 x - ... - c_L x^L."""
+    s = [x % p for x in seq]
+    conn, prev = [1], [1]      # C now, and C before the last length change
+    order, shift, prev_delta = 0, 1, 1
     for n in range(len(s)):
-        delta = sum(c * s[n - i] for i, c in enumerate(conn))
-        if delta == 0:
-            continue
-        if len(conn) == 1:
-            conn = [1] + [0] * (n + 1)
-            last_pos = n
-            last_delta = delta
-            continue
-        shift = n - last_pos
-        grow = shift + len(last) - len(conn)
-        new = [last_delta * c for c in conn] + [0] * grow
-        for i, c in enumerate(last, shift):
-            new[i] -= delta * c
-        if grow > 0:
-            last = conn
-            last_pos = n
-            last_delta = delta
-        g = gcd(*new)
-        conn = [c // g for c in new] if new[0] > 0 else [-c // g for c in new]
-    if conn[0] != 1:
-        raise InternalError("the recurrence does not have integer coefficients")
-    return tuple(-c for c in conn[1:])
+        delta = sum(c * s[n - i] for i, c in enumerate(conn)) % p
+        if delta:
+            old = conn[:]
+            q = delta * pow(prev_delta, -1, p) % p
+            conn += [0] * (shift + len(prev) - len(conn))
+            for i, c in enumerate(prev, shift):
+                conn[i] = (conn[i] - q * c) % p
+            if 2 * order <= n:
+                order, prev, prev_delta, shift = n + 1 - order, old, delta, 0
+        shift += 1
+    return tuple(-c % p for c in conn[1:order + 1])
 
 
 class RationalGF(Value):
@@ -141,21 +121,32 @@ def _strip(coeffs: list) -> list:
 
 
 def to_rational(seq) -> RationalGF:
-    """Rational form of a series prefix.  The reciprocal of the recurrence
-    that find_recurrence gives, which has integer coefficients (Fatou's
-    lemma), becomes the denominator den, the first terms of den*seq below
-    its order the numerator num.  The pair must re-expand to the whole
-    prefix, that is den*seq = num mod x^len(seq); if the recurrence does
-    not annihilate the tail, or the input was too short to fix it, it
-    fails."""
-    rec = find_recurrence(seq)
-    den = [1] + [-c for c in rec]
-    num = _strip([sum(den[i] * seq[k - i] for i in range(k + 1))
-                  for k in range(len(rec))] or [0])
-    gf = RationalGF(tuple(num), tuple(_strip(den)))
-    if gf.expand(len(seq) - 1) != list(seq):
-        raise InternalError("re-expansion does not reproduce the series")
-    return gf
+    """Rational form of a series prefix.  Its shortest recurrence has
+    integer coefficients (Fatou's lemma), and only a prime that divides a
+    discrepancy finds a shorter one mod p.  Answers of find_recurrence of
+    one order are combined over PRIMES by the Chinese remainder theorem
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5); a larger
+    order starts again.  The lift to the symmetric range gives den = 1 -
+    c_1 x - ... - c_L x^L and num = den*seq mod x^L.  The first pair that
+    re-expands to the whole prefix, den*seq = num mod x^len(seq), is
+    returned; the check stops at the first later term of den*seq not 0."""
+    s = list(seq)
+    rec, modulus = (), 1
+    for p in PRIMES:
+        r = find_recurrence(s, p)
+        if len(r) < len(rec):
+            continue
+        if len(r) > len(rec):
+            rec, modulus = (0,) * len(r), 1
+        inv = pow(modulus, -1, p)
+        rec = tuple(c + modulus * ((d - c) * inv % p) for c, d in zip(rec, r))
+        modulus *= p
+        den = [1] + [modulus - c if 2 * c > modulus else -c for c in rec]
+        if not any(sum(d * s[k - i] for i, d in enumerate(den))
+                   for k in range(len(rec), len(s))):
+            num = [sum(den[i] * s[k - i] for i in range(k + 1)) for k in range(len(rec))]
+            return RationalGF(tuple(_strip(num or [0])), tuple(_strip(den)))
+    raise InternalError("no recurrence modulo the primes re-expands to the series")
 
 
 def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:

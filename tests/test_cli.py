@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import errno
+import hashlib
 import json
 import os
 import re
@@ -259,6 +260,8 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     ["series", "--system", "A3", "--max-len", "3"],
     ["oracle", "--system", "A3", "--max-len", "3"],
     ["verify", "--system", "A3", "--max-len", "4"],
+    pytest.param(["--help"], id="help"),
+    pytest.param(["genfun", "--help"], id="genfun-help"),
 ], ids=lambda argv: argv[0])
 def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, streams, unbuffered):
     # stdout is a pipe whose read end is closed before the child writes its
@@ -367,10 +370,10 @@ def test_series_past_4300_digits_exits_0():
     assert int(last[-30:]) == want % 10**30
 
 
-def _genfun_under_256_mb(name: str, tmp_path) -> RationalGF:
+def _genfun_under_256_mb(name: str, tmp_path, *options: str) -> RationalGF:
     out = tmp_path / f"{name}.json"
     done = run_under_256_mb("-m", "cfcgf.cli", "genfun", "--system", name,
-                            "--out", str(out), timeout=120)
+                            "--out", str(out), *options, timeout=120)
     assert done.returncode == 0, done.stderr
     doc = json.loads(out.read_text())
     return RationalGF(tuple(map(int, doc["num"])), tuple(map(int, doc["den"])))
@@ -392,6 +395,33 @@ def test_genfun_of_the_rank_11_cycle_fits_in_256_mb(tmp_path):
     counts = _genfun_under_256_mb("tA10", tmp_path).expand(66)
     for length in range(11, 67):
         assert counts[length] == (2046 if length % 11 == 0 else 0), length
+
+
+# the denominator of tA8's per-expression series, a polynomial in x^9 of
+# degree 26 there; its coefficients pass 2^61, so two primes are combined
+TA8_PER_EXPRESSION_DEN = (
+    1, -20160, 100739489, -165399444240, 112549149138849, -24369369339916704,
+    10179580496736467321, 2082785062088637732744, -1676277164633972257913519,
+    106828850859251010193606984, -7274046925994621797028829447,
+    -164422944587187610217848752904, 23210916448668137759930534311605,
+    -153900088107988576233143848443960, 637761296506447645060223448836967,
+    -23107341717299225559878268085896808, -144759756071381286370429055481851889,
+    -948334460342790563522016416996903432, -131242515584197795543831286340238401,
+    975917401351206980033812449657829248, 275066963162247601637842634642725551,
+    -4315765513900334779810602239747040, 274366697452623626761853036729847,
+    -5769373026383858452765137728472, -23141353191169427244364510305,
+    31169830245400407684744, 125015825667824393931)
+
+
+@pytest.mark.slow
+def test_per_expression_genfun_of_the_rank_9_cycle_fits_in_256_mb(tmp_path):
+    gf = _genfun_under_256_mb("tA8", tmp_path, "--per-expression")
+    assert gf.den[::9] == TA8_PER_EXPRESSION_DEN
+    assert len(gf.den) == 235 and not any(c for i, c in enumerate(gf.den) if i % 9)
+    # 243 numerator terms of up to 139 bits, frozen by their digest
+    num = ",".join(map(str, gf.num)).encode()
+    assert hashlib.sha256(num).hexdigest() == (
+        "9302726a15178edb1c54c91307ef4b4276368cdb8f55e40b82e8d9c078b95bca")
 
 
 def test_missing_required_argument_exits_2(capsys):

@@ -9,6 +9,7 @@ from cfcgf import cfc_automaton, fsa, genfun, lexnf
 from cfcgf.core import CoxeterSystem, parse_system, preset_system
 from cfcgf.errors import InputError, InternalError
 from cfcgf.genfun import (
+    PRIMES,
     RationalGF,
     count_by_length,
     counted_genfun,
@@ -23,33 +24,39 @@ def pipeline(system):
 
 
 def test_recurrence_of_eventually_constant_series():
-    assert find_recurrence([1, 2, 2, 2, 2, 2, 2, 2]) == (1, 0)
+    for p in PRIMES:
+        assert find_recurrence([1, 2, 2, 2, 2, 2, 2, 2], p) == (1, 0)
 
 
 def test_recurrence_of_polynomial_series_is_zero_recurrence():
-    assert find_recurrence([1, 2, 2, 0, 0, 0, 0, 0]) == (0, 0, 0)
+    for p in PRIMES:
+        assert find_recurrence([1, 2, 2, 0, 0, 0, 0, 0], p) == (0, 0, 0)
 
 
 def test_recurrence_of_fibonacci():
-    assert find_recurrence([1, 1, 2, 3, 5, 8, 13, 21]) == (1, 1)
+    for p in PRIMES:
+        assert find_recurrence([1, 1, 2, 3, 5, 8, 13, 21], p) == (1, 1)
+        assert find_recurrence([1, -1, 2, -3, 5, -8, 13, -21], p) == (p - 1, 1)
 
 
 def test_recurrence_of_constant_and_zero_series():
-    assert find_recurrence([1, 1, 1, 1, 1]) == (1,)
-    assert find_recurrence([0, 0, 0, 0]) == ()
+    for p in PRIMES:
+        assert find_recurrence([1, 1, 1, 1, 1], p) == (1,)
+        assert find_recurrence([0, 0, 0, 0], p) == ()
 
 
 def test_recurrence_must_have_integer_coefficients():
-    # 2, 1: the shortest recurrence is a_n = a_{n-1}/2
-    with pytest.raises(InternalError):
-        find_recurrence([2, 1])
+    # 2, 1: the shortest recurrence is a_n = a_{n-1}/2, which exists mod
+    # every odd p but lifts to no integer one
+    for p in PRIMES:
+        assert find_recurrence([2, 1], p) == ((p + 1) // 2,)
     with pytest.raises(InternalError):
         to_rational([2, 1])
 
 
 def fraction_berlekamp_massey(seq):
-    """Textbook Berlekamp-Massey over Q, the reference for the
-    fraction-free one: (c_1..c_L) of the shortest recurrence."""
+    """Textbook Berlekamp-Massey over Q, the reference for the one over
+    GF(p): (c_1..c_L) of the shortest recurrence."""
     s = [Fraction(x) for x in seq]
     conn, prev = [Fraction(1)], [Fraction(1)]  # constant terms 1
     order, shift, prev_delta = 0, 1, Fraction(1)
@@ -82,9 +89,16 @@ def test_recurrence_matches_fraction_berlekamp_massey(data):
     length = data.draw(st.integers(min_value=2 * order + 2, max_value=2 * order + 8))
     while len(seq) < length:
         seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
-    rec = find_recurrence(seq)
-    assert rec == fraction_berlekamp_massey(seq)
-    assert all(type(c) is int for c in rec)
+    want = fraction_berlekamp_massey(seq)
+    for p in PRIMES[:3]:
+        rec = find_recurrence(seq, p)
+        assert rec == tuple(c.numerator * pow(c.denominator, -1, p) % p for c in want)
+        assert all(type(c) is int for c in rec)
+    # an integer recurrence of order k fixes the series from 2k + 2 terms,
+    # so the shortest one has integer coefficients (Fatou's lemma)
+    den = to_rational(seq).den
+    assert den + (0,) * (len(want) + 1 - len(den)) == (1, *(-c for c in want))
+    assert all(type(c) is int for c in den)
 
 
 def test_rational_form_of_eventually_constant_series():
@@ -112,9 +126,49 @@ def test_rational_form_of_zero_series():
 def test_rational_form_is_checked_by_reexpansion(monkeypatch):
     # a recurrence that does not annihilate the tail: 1/(1 - 2x) gives
     # 1, 2, 4, 8, not 1, 2, 2, 2
-    monkeypatch.setattr(genfun, "find_recurrence", lambda seq: (2,))
-    with pytest.raises(InternalError, match="re-expansion"):
+    monkeypatch.setattr(genfun, "find_recurrence", lambda seq, p: (2,))
+    with pytest.raises(InternalError, match="re-expands"):
         to_rational([1, 2, 2, 2])
+
+
+def test_an_unlucky_first_prime_is_combined_with_the_next():
+    # s_n = p^n + 1 has den (1 - x)(1 - p x): mod p = 2^61 - 1 it is
+    # 1 - x, whose lift is not the den over Z
+    p = PRIMES[0]
+    seq = [p**n + 1 for n in range(8)]
+    assert find_recurrence(seq, p) == (1, 0)
+    assert to_rational(seq).den == (1, -(p + 1), p)
+
+
+def _primes_run(monkeypatch, seq):
+    """to_rational(seq), and the primes it ran find_recurrence modulo."""
+    moduli = []
+    plain = genfun.find_recurrence
+
+    def counted(s, p):
+        moduli.append(p)
+        return plain(s, p)
+
+    monkeypatch.setattr(genfun, "find_recurrence", counted)
+    return to_rational(seq), moduli
+
+
+def test_coefficients_above_one_prime_are_combined_by_crt(monkeypatch):
+    gf = RationalGF((1, -3), (1, -(2**70 + 1), 3**50, -(2**100)))
+    assert _primes_run(monkeypatch, gf.expand(12)) == (gf, list(PRIMES[:2]))
+
+
+def test_a_prime_that_lowers_the_order_is_passed_over(monkeypatch):
+    # c a^n + 1 has den (1 - x)(1 - a x), but modulo a prime that divides
+    # c it is 1, 1, 1, ..., of order 1
+    p0, p1, p2 = PRIMES[:3]
+    a = 2**120
+    # order 2 mod p0, too few bits; order 1 mod p1; p0 and p2 combined
+    gf, moduli = _primes_run(monkeypatch, [p1 * a**n + 1 for n in range(8)])
+    assert gf.den == (1, -(a + 1), a) and moduli == [p0, p1, p2]
+    # order 1 mod p0, so p1 starts the combination again
+    gf, moduli = _primes_run(monkeypatch, [p0 * 2**n + 1 for n in range(8)])
+    assert gf.den == (1, -3, 2) and moduli == [p0, p1]
 
 
 def test_expansion_guards_against_non_integer_coefficients():
