@@ -71,9 +71,7 @@ def cmd_automaton(args) -> int:
 def cmd_series(args) -> int:
     system = _load_system(args.system)
     stage = "cfc" if args.per_expression else "pipeline"
-    a = fsa.series_quotient(
-        cfc_automaton.build(system, stage, args.state_budget)
-    )
+    a = cfc_automaton.build(system, stage, args.state_budget)
     coeffs = genfun.count_by_length(a, args.max_len)
     _write_json({"coeffs": [str(c) for c in coeffs]}, args.out)
     return 0

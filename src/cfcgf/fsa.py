@@ -5,8 +5,8 @@ letters a.  ``dead``, when set, names a rejecting state that every letter
 maps to itself, so no word through it is accepted; the constructor checks
 this.  Other states may have an empty language without being named.
 Operations renumber states by breadth-first discovery from the initial state
-(letters in increasing order; `series_quotient` by that of its first
-members), which makes their output deterministic and reproducible.
+(letters in increasing order; `minimize` by that of each block's first
+member), which makes their output deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -197,19 +197,18 @@ def trim(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet_size, tuple(delta), 0, finals, dead)
 
 
-def _refine(dfa: Dfa, as_multiset: bool) -> tuple[Dfa, list[int]]:
+def _refine(dfa: Dfa) -> tuple[Dfa, list[int]]:
     """Moore refinement on the reachable part (Moore 1956).  The states
     start in two blocks, accepting and rejecting.  Each round gives every
     state the id of its signature: its block and the blocks its letters
-    lead to, in letter order or, as_multiset, sorted.  Rounds refine, and
-    stop when one adds no block, so at most n of them, each O(n * k) for
-    n states and k letters (times log k when sorting).  Then members of a
-    block have equal signatures, and no fewer blocks that keep accepting
-    and rejecting states apart have that property.  A block's letters
-    lead where one member's do; block ids follow the first members in
-    breadth-first order.  A rejecting block that only leads to itself is
-    dead.  The machine comes with the block of each reachable state, in
-    breadth-first order."""
+    lead to, in letter order.  Rounds refine, and stop when one adds no
+    block, so at most n of them, each O(n * k) for n states and k
+    letters.  Then members of a block have equal signatures, and no fewer
+    blocks that keep accepting and rejecting states apart have that
+    property.  A block's letters lead where one member's do; block ids
+    follow the first members in breadth-first order.  A rejecting block
+    that only leads to itself is dead.  The machine comes with the block
+    of each reachable state, in breadth-first order."""
     order = _bfs_order(dfa.delta, dfa.initial)
     ids = [-1] * dfa.num_states
     for i, q in enumerate(order):
@@ -222,8 +221,6 @@ def _refine(dfa: Dfa, as_multiset: bool) -> tuple[Dfa, list[int]]:
     count = len(set(block))
     while True:
         sigs = zip(block, *(map(block.__getitem__, col) for col in cols))
-        if as_multiset:
-            sigs = (sig[:1] + tuple(sorted(sig[1:])) for sig in sigs)
         signatures: dict[tuple[int, ...], int] = {}
         block = [signatures.setdefault(sig, len(signatures)) for sig in sigs]
         if len(signatures) == count:
@@ -241,13 +238,13 @@ def _refine(dfa: Dfa, as_multiset: bool) -> tuple[Dfa, list[int]]:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """The smallest machine with dfa's language (`_refine` by letter).
-    After round i two states share a block iff no suffix of at most i
-    letters tells them apart.  Members of a block lead to the same blocks,
-    so the output is numbered by breadth-first discovery and machines with
-    the same language give the same output.  Its one state with an empty
+    """The smallest machine with dfa's language (`_refine`).  After round
+    i two states share a block iff no suffix of at most i letters tells
+    them apart.  Members of a block lead to the same blocks, so the
+    output is numbered by breadth-first discovery and machines with the
+    same language give the same output.  Its one state with an empty
     language, if any, is its dead state."""
-    return _refine(dfa, False)[0]
+    return _refine(dfa)[0]
 
 
 def state_counts(dfa: Dfa) -> tuple[int, int, int]:
@@ -256,25 +253,11 @@ def state_counts(dfa: Dfa) -> tuple[int, int, int]:
     reachable states with an empty language, which trim drops; trim adds
     one dead state in their place, since the block holds the initial
     state or is reached from a kept one."""
-    m, block = _refine(dfa, False)
+    m, block = _refine(dfa)
     trimmed = len(block)
     if m.dead is not None:
         trimmed += 1 - block.count(m.dead)
     return dfa.num_states, trimmed, m.num_states
-
-
-def series_quotient(dfa: Dfa) -> Dfa:
-    """A machine with dfa's length series but, in general, not its
-    language: `_refine` with sorted successor blocks, which lumps the
-    transfer matrix (Stanley, EC1 4.7).  Language-equivalent states have
-    equal signatures, so it has no more states than `minimize(dfa)`.
-    Members of a block accept equally many words of each length n, by
-    induction: at n = 0 they agree on acceptance, and the count at n + 1
-    sums those at n of the successors, whose blocks form one multiset for
-    all members.  By the same induction a block counts what the member
-    whose letters it copies does, so the initial block counts what dfa
-    does."""
-    return _refine(dfa, True)[0]
 
 
 DEFAULT_STATE_BUDGET = 10**7

@@ -3,8 +3,8 @@
 Counting is a transfer-matrix walk with exact integers.  By Fatou's lemma
 a rational series with integer terms is P/Q with P, Q in Z[x] and Q(0) = 1
 (Stanley, EC1 sec. 4).  Q is found by Berlekamp-Massey modulo primes,
-combined by the Chinese remainder theorem, and P/Q is accepted only if it
-re-expands to the counted prefix, so a wrong answer cannot escape quietly.
+combined by the Chinese remainder theorem.  P/Q is accepted only if it
+re-expands to the counted prefix and is certified past it (Wiedemann).
 """
 
 from __future__ import annotations
@@ -14,28 +14,35 @@ from .errors import InputError, InternalError
 from .value import Value
 
 
-def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
-    """coeffs[k] = number of accepted words of length k, 0 <= k <= n_max.
-
-    Only states from which a final state is reachable carry counts: the
-    words in the others add to no later length, and there they would grow
-    like alphabet**k."""
+def _walk(a: fsa.Dfa):
+    """(v_0, step, l) for the l live states of a, those from which a final
+    state is reachable.  v_n[q] counts the words of length n that lead to
+    q, and is kept 0 off the live states, where words add to no later
+    length.  A live state's predecessors are live, so step, v_n ->
+    v_{n+1}, is linear: the live transfer matrix A."""
     live = fsa.coreachable(a)
     succ = [[r for r in row if live[r]] for row in a.delta]
-    vec = [0] * a.num_states
-    if live[a.initial]:
-        vec[a.initial] = 1
-    out = []
-    for k in range(n_max + 1):
-        out.append(sum(vec[q] for q in a.finals))
-        if k == n_max:
-            break
-        nxt = [0] * a.num_states
+    v0 = [0] * a.num_states
+    v0[a.initial] = live[a.initial]
+
+    def step(vec: list[int]) -> list[int]:
+        nxt = [0] * len(vec)
         for q, c in enumerate(vec):
             if c:
                 for r in succ[q]:
                     nxt[r] += c
-        vec = nxt
+        return nxt
+
+    return v0, step, sum(live)
+
+
+def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
+    """coeffs[k] = number of accepted words of length k, 0 <= k <= n_max."""
+    vec, step, _ = _walk(a)
+    out = [sum(vec[q] for q in a.finals)]
+    for _ in range(n_max):
+        vec = step(vec)
+        out.append(sum(vec[q] for q in a.finals))
     return out
 
 
@@ -129,11 +136,14 @@ def to_rational(seq) -> RationalGF:
     order starts again.  The lift to the symmetric range gives den = 1 -
     c_1 x - ... - c_L x^L and num = den*seq mod x^L.  The first pair that
     re-expands to the whole prefix, den*seq = num mod x^len(seq), is
-    returned; the check stops at the first later term of den*seq not 0."""
+    returned; the check stops at the first later term of den*seq not 0.
+    A prefix with 2L >= len(seq) - 1 for one prime's order L is refused."""
     s = list(seq)
     rec, modulus = (), 1
     for p in PRIMES:
         r = find_recurrence(s, p)
+        if 2 * len(r) >= len(s) - 1:
+            raise InternalError(f"too few terms to fix a recurrence of order {len(r)}")
         if len(r) < len(rec):
             continue
         if len(r) > len(rec):
@@ -149,15 +159,43 @@ def to_rational(seq) -> RationalGF:
     raise InternalError("no recurrence modulo the primes re-expands to the series")
 
 
-def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:
-    """Length series prefix and generating function of a DFA's language.
+def _certified(den: tuple[int, ...], v0: list[int], step, k: int) -> bool:
+    """Whether z_n = sum_i den_i v_{n-i} is 0 for some n, deg den <= n <= k:
+    z_D by Horner from v_0, then z_{n+1} = A z_n.  Then so is every later
+    z_m, and den*s, whose terms count the z_m on the finals, vanishes past
+    s_k too (Wiedemann, IEEE Trans. Inform. Theory 32, 1986)."""
+    start = [(q, x) for q, x in enumerate(v0) if x]
+    z, n = v0, len(den) - 1  # den[0] = 1
+    for d in den[1:]:
+        z = step(z)
+        for q, x in start:
+            z[q] += d * x
+    while n < k and any(z):
+        z, n = step(z), n + 1
+    return not any(z)
 
-    Counting runs on m = fsa.series_quotient(a), a machine with the same
-    series and at most as many states as the minimal one, to the horizon
-    2*m+2 (lengths 0..2m+2).  The series of an m-state transfer matrix
-    obeys a recurrence of order at most m (Cayley-Hamilton), and
-    Berlekamp-Massey needs only twice the order in terms to fix it, so
-    the recovered recurrence is certainly minimal."""
-    m = fsa.series_quotient(a)
-    seq = count_by_length(m, 2 * m.num_states + 2)
-    return seq, to_rational(seq)
+
+def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:
+    """Counts s_0..s_k of a's words by length and their P/Q by to_rational,
+    for k = 64, 128, ... up to 2l+2 for the l live states of `_walk`,
+    counting on from the last vector.  Below that cap P/Q must be
+    `_certified`, and is then minimal: its order, one prime's, is at most
+    the series' own.  At the cap, 2l terms fix a recurrence of order at
+    most l (Cayley-Hamilton)."""
+    v0, step, live = _walk(a)
+    cap = 2 * live + 2
+    vec, seq, k = v0, [sum(v0[q] for q in a.finals)], 64
+    while True:
+        k = min(k, cap)
+        for _ in range(len(seq), k + 1):
+            vec = step(vec)
+            seq.append(sum(vec[q] for q in a.finals))
+        try:
+            gf = to_rational(seq)
+        except InternalError:
+            if k == cap:
+                raise
+        else:
+            if k == cap or _certified(gf.den, v0, step, k):
+                return seq, gf
+        k *= 2

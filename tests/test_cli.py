@@ -17,7 +17,7 @@ from cfcgf import cfc_automaton, core, fsa, lexnf, oracle
 from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
 from cfcgf.errors import InternalError
-from cfcgf.genfun import RationalGF
+from cfcgf.genfun import RationalGF, count_by_length
 from helpers import to_json
 
 
@@ -345,8 +345,8 @@ def test_cfc_stage_of_the_rank_8_cycle_fits_in_256_mb(tmp_path):
 
 
 def test_per_expression_genfun_of_the_rank_8_cycle_fits_in_256_mb():
-    # counting on the minimal cfc-stage machine did not end within two
-    # minutes under this cap; its series quotient is far smaller
+    # counting 2m+2 terms on the minimal cfc-stage machine did not end
+    # within two minutes under this cap; the certificate stops at 256
     done = run_under_256_mb("-m", "cfcgf.cli", "genfun", "--per-expression",
                             "--system", "tA7", timeout=60)
     assert done.returncode == 0, done.stderr
@@ -497,18 +497,16 @@ def test_genfun_writes_json_document(capsys, tmp_path):
     assert set(doc["coeffs"][5:]) == {"0"}
 
 
-def test_genfun_counts_to_twice_the_minimized_states(capsys, tmp_path):
+def test_genfun_coeffs_are_the_certified_prefix(capsys, tmp_path):
     target = tmp_path / "gf.json"
     code, _, _ = run(capsys, "genfun", "--system", "tA3", "--out", str(target))
     assert code == 0
-    system = preset_system("tA3")
-    raw = fsa.product([cfc_automaton.build(system), lexnf.build(system)])
-    m = fsa.series_quotient(raw).num_states
     doc = json.loads(target.read_text())
-    # the horizon is 2*m+2 for the series quotient's m = 19 states, so the
-    # counts cover lengths 0..2m+2; the minimal machine's 87 gave 177
-    assert len(doc["coeffs"]) == 2 * m + 3 == 41
-    assert m < fsa.minimize(raw).num_states
+    # P/Q is certified on the first prefix, lengths 0..64; the cap would
+    # be 2l+2 for the pipeline's l live states
+    a = cfc_automaton.build(preset_system("tA3"), "pipeline")
+    assert doc["coeffs"] == [str(c) for c in count_by_length(a, 64)]
+    assert 2 * sum(fsa.coreachable(a)) + 3 > 65
 
 
 def test_oracle_report(capsys):

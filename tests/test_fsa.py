@@ -17,10 +17,8 @@ from cfcgf.fsa import (
     difference_witness,
     minimize,
     rotation_closure,
-    series_quotient,
     trim,
 )
-from cfcgf.genfun import count_by_length
 from helpers import (
     accepted_words,
     equivalent,
@@ -170,17 +168,6 @@ def test_minimize_sets_dead_hint():
     assert m.dead not in m.finals
 
 
-def test_series_quotient_merges_states_with_equal_counts():
-    # the words are 01 and 10: after 0 only 1 completes one and after 1
-    # only 0 does, different words but as many of each length
-    d = Dfa(2, ((1, 2), (4, 3), (3, 4), (4, 4), (4, 4)), 0, frozenset({3}), 4)
-    assert minimize(d).num_states == 5
-    q = series_quotient(d)
-    assert q.num_states == 4
-    assert q.dead is not None
-    assert count_by_length(q, 4) == [0, 0, 2, 0, 0]
-
-
 def test_difference_witness_shortest_lex():
     a = even_ones()
     b = Dfa(2, ((0, 1), (1, 0)), 0, frozenset({1}))  # odd number of 1s
@@ -321,14 +308,6 @@ def test_minimize_preserves_language(d):
     m = minimize(d)
     assert difference_witness(d, m) is None
     assert m.num_states <= d.num_states
-
-
-@given(dfas())
-@settings(max_examples=80, deadline=None)
-def test_series_quotient_keeps_the_length_series(d):
-    q = series_quotient(d)
-    assert count_by_length(q, 40) == count_by_length(d, 40)
-    assert q.num_states <= minimize(d).num_states
 
 
 @given(dfas())

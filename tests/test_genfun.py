@@ -141,7 +141,8 @@ def test_an_unlucky_first_prime_is_combined_with_the_next():
 
 
 def _primes_run(monkeypatch, seq):
-    """to_rational(seq), and the primes it ran find_recurrence modulo."""
+    """to_rational(seq), or the InternalError it raised, and the primes it
+    ran find_recurrence modulo."""
     moduli = []
     plain = genfun.find_recurrence
 
@@ -150,7 +151,10 @@ def _primes_run(monkeypatch, seq):
         return plain(s, p)
 
     monkeypatch.setattr(genfun, "find_recurrence", counted)
-    return to_rational(seq), moduli
+    try:
+        return to_rational(seq), moduli
+    except InternalError as exc:
+        return exc, moduli
 
 
 def test_coefficients_above_one_prime_are_combined_by_crt(monkeypatch):
@@ -169,6 +173,18 @@ def test_a_prime_that_lowers_the_order_is_passed_over(monkeypatch):
     # order 1 mod p0, so p1 starts the combination again
     gf, moduli = _primes_run(monkeypatch, [p0 * 2**n + 1 for n in range(8)])
     assert gf.den == (1, -3, 2) and moduli == [p0, p1]
+
+
+def test_a_prefix_too_short_for_its_recurrence_runs_one_prime(monkeypatch):
+    # the first prime finds order 3 in 7 terms, and 2*3 >= 7 - 1: the
+    # prefix cannot fix that recurrence, so no other prime is tried
+    seq = RationalGF((1,), (1, -1, -1, -1)).expand(6)
+    err, moduli = _primes_run(monkeypatch, seq)
+    assert isinstance(err, InternalError) and moduli == [PRIMES[0]]
+    assert "too few terms" in str(err)
+    # one term more fixes it
+    gf, moduli = _primes_run(monkeypatch, seq + [seq[-1] + seq[-2] + seq[-3]])
+    assert gf.den == (1, -1, -1, -1) and moduli[0] == PRIMES[0]
 
 
 def test_expansion_guards_against_non_integer_coefficients():
@@ -222,7 +238,7 @@ def test_rational_form_reexpands_to_the_direct_count(name):
 
 
 # found by counting the minimal cfc-stage machine to 2*minimized+2
-# terms, without the series quotient
+# terms
 PER_EXPRESSION_GFS = {
     "tA4": ((1, 5, 20, 60, 120, 108, -60, -240, -720, -1440, -190, 50, 200,
              600, 1200, -29, 5, 20, 60, 120),
@@ -250,15 +266,82 @@ TRIANGLES = {
 
 @pytest.mark.parametrize("name", ["tA3", "tA4", "A6", "B5", "D5", *TRIANGLES])
 def test_reduced_machine_gives_the_raw_machines_answer(name):
-    # counting on series_quotient(a) to 2*quotient+2 must reproduce the
-    # P/Q counted on the raw pipeline to 2*raw+2
+    # the certified P/Q from a short prefix must be the one that 2l+2
+    # terms fix for the l live states of the raw pipeline (Cayley-Hamilton)
     system = parse_system(TRIANGLES[name]) if name in TRIANGLES else preset_system(name)
     raw = pipeline(system)
     seq, gf = counted_genfun(raw)
-    m = fsa.series_quotient(raw).num_states
-    assert m < raw.num_states
-    assert seq == count_by_length(raw, 2 * m + 2)
-    assert gf == to_rational(count_by_length(raw, 2 * raw.num_states + 2))
+    live = sum(fsa.coreachable(raw))
+    assert seq == count_by_length(raw, len(seq) - 1)
+    assert gf == to_rational(count_by_length(raw, 2 * live + 2))
+
+
+def _prefixes_tried(monkeypatch) -> list[int]:
+    """Make to_rational record the length of each prefix it is given, in
+    the returned list."""
+    lengths = []
+    plain = genfun.to_rational
+
+    def recorded(seq):
+        lengths.append(len(seq))
+        return plain(seq)
+
+    monkeypatch.setattr(genfun, "to_rational", recorded)
+    return lengths
+
+
+def test_a_certificate_in_the_first_round_stops_at_64_terms(monkeypatch):
+    lengths = _prefixes_tried(monkeypatch)
+    seq, gf = counted_genfun(pipeline(preset_system("tA3")))
+    assert lengths == [65] and len(seq) == 65
+    assert (gf.num, gf.den) == PIPELINE_GFS["tA3"]
+
+
+def test_a_prefix_too_short_for_the_order_doubles(monkeypatch):
+    # order 70 needs more than 140 terms: 65 and 129 are refused
+    lengths = _prefixes_tried(monkeypatch)
+    a = cfc_automaton.build(preset_system("tA6"), "cfc")
+    seq, gf = counted_genfun(a)
+    assert lengths == [65, 129, 257] and len(seq) == 257
+    assert (len(gf.num), len(gf.den)) == (70, 64)
+    assert gf.expand(400) == count_by_length(a, 400)
+
+
+def _cycle_and_loop() -> fsa.Dfa:
+    """State 0 leads on letter 0 into a 40-state cycle that reads 0s and
+    on letter 1 to a state that reads 1s; every state but the dead one,
+    42, accepts.  The words are 0^n and 1^n: 1, 2, 2, 2, ..."""
+    dead = 42
+    delta = [(1, 41)]
+    delta += [(q % 40 + 1, dead) for q in range(1, 41)]
+    delta += [(dead, 41), (dead, dead)]
+    return fsa.Dfa(2, tuple(delta), 0, frozenset(range(42)), dead)
+
+
+def test_a_certificate_that_never_holds_counts_to_the_cap(monkeypatch):
+    # z_n = v_n - v_{n-1} moves one count round the cycle and never
+    # vanishes, so only the cap 2*42+2 for the 42 live states answers
+    a = _cycle_and_loop()
+    assert count_by_length(a, 5) == [1, 2, 2, 2, 2, 2]
+    lengths = _prefixes_tried(monkeypatch)
+    seq, gf = counted_genfun(a)
+    assert lengths == [65, 87] and len(seq) == 87 == 2 * 42 + 3
+    assert str(gf) == "(1 + x)/(1 - x)"
+
+
+def test_a_refusal_at_the_cap_is_raised(monkeypatch):
+    lengths = []
+
+    def refuse(seq):
+        lengths.append(len(seq))
+        if len(lengths) > 2:
+            raise RuntimeError("counted on past the cap")
+        raise InternalError("refused")
+
+    monkeypatch.setattr(genfun, "to_rational", refuse)
+    with pytest.raises(InternalError, match="refused"):
+        counted_genfun(_cycle_and_loop())
+    assert lengths == [65, 87]
 
 
 @pytest.mark.parametrize("stage", ["pipeline", "fc"])
@@ -266,12 +349,11 @@ def test_reduced_machine_gives_the_raw_machines_answer(name):
     "name", ["A1", "A3", "A6", "B3", "B5", "D5", "I2:5", "I2:inf", "tA1",
              "tA3", "tA4", *TRIANGLES])
 def test_minimize_needs_no_trim_first(name, stage):
-    # counted_genfun and `series` refine the raw machine: refinement
-    # merges the states with an empty language, so trim adds nothing
+    # `automaton --stats` refines the raw machine: refinement merges the
+    # states with an empty language, so trim adds nothing
     system = parse_system(TRIANGLES[name]) if name in TRIANGLES else preset_system(name)
     a = cfc_automaton.build(system, stage)
     assert fsa.minimize(a) == fsa.minimize(fsa.trim(a))
-    assert fsa.series_quotient(a) == fsa.series_quotient(fsa.trim(a))
 
 
 def test_counting_is_invariant_under_trim_and_minimize():
