@@ -1,7 +1,7 @@
 """Coxeter group automata for cyclically fully commutative elements and
 their exact length generating functions."""
 
-from .core import INF, CoxeterSystem, cyclic_shifts, parse_system, preset_system
+from .core import INF, CoxeterSystem, cyclic_shifts, diagram, parse_system, preset_system
 from .errors import BudgetError, CfcError, InputError, InternalError
 
 __version__ = "0.1.0"
@@ -10,6 +10,7 @@ __all__ = [
     "INF",
     "CoxeterSystem",
     "cyclic_shifts",
+    "diagram",
     "parse_system",
     "preset_system",
     "BudgetError",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 
 from .errors import InputError
 from .value import Value
@@ -50,6 +51,9 @@ class CoxeterSystem(Value):
         elif len(set(names)) != n:
             # words, witnesses and DOT labels are read back by name
             raise InputError("generator names must be distinct")
+        elif any(not g or "," in g or "]" in g for g in names):
+            # a witness is printed as [a,b,...]
+            raise InputError("generator names must be non-empty and hold no ',' or ']'")
         self._set(matrix, names)
 
     @property
@@ -82,15 +86,34 @@ def cyclic_shifts(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 PRESET_RE = re.compile(r"^(A|B|D|tA)(\d+)$|^I2:(\d+|inf)$")
 
 
-def _path_matrix(k: int, last: int | float = 3) -> list[list[int | float]]:
-    m: list[list[int | float]] = [[2] * k for _ in range(k)]
-    for i in range(k):
-        m[i][i] = 1
-    for i in range(k - 1):
-        m[i][i + 1] = m[i + 1][i] = 3
-    if k >= 2:
-        m[k - 2][k - 1] = m[k - 1][k - 2] = last
-    return m
+def diagram(rank: int, edges: Iterable[tuple[int, int, int | float]]) -> CoxeterSystem:
+    """The system on generators 0..rank-1 whose diagram has the edges
+    (i, j, m): m[i][j] = m[j][i] = m, a later edge on the same pair
+    replacing an earlier one.  Every other pair of distinct generators
+    commutes (label 2)."""
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, lab in edges:
+        if i == j or not (0 <= i < rank and 0 <= j < rank):
+            raise InputError(f"edge ({i}, {j}) needs two distinct generators below {rank}")
+        m[i][j] = m[j][i] = lab
+    return CoxeterSystem(tuple(map(tuple, m)))
+
+
+def _path(n: int) -> list[tuple[int, int, int]]:
+    """The edges of the path 0 - 1 - ... - n-1, all labelled 3."""
+    return [(i, i + 1, 3) for i in range(n - 1)]
+
+
+# name: least k, then the rank and the edges as functions of k.  B ends
+# the path with a 4, D hangs nodes 0 and 1 both on node 2, and tA closes
+# a path on k+1 nodes into a cycle (tA1: two nodes, an infinite label).
+_FAMILIES = {
+    "A": (1, lambda k: k, _path),
+    "B": (2, lambda k: k, lambda k: _path(k - 1) + [(k - 2, k - 1, 4)]),
+    "D": (3, lambda k: k, lambda k: [(0, 2, 3)] + _path(k)[1:]),
+    "tA": (1, lambda k: k + 1,
+           lambda k: _path(k + 1) + [(k, 0, 3 if k > 1 else INF)]),
+}
 
 
 def _check_rank(rank: int) -> None:
@@ -99,18 +122,9 @@ def _check_rank(rank: int) -> None:
 
 
 def preset_system(name: str) -> CoxeterSystem:
-    """Build one of the named families:
-
-    A<k>      path on k nodes, all labels 3 (A1 is the single generator)
-    B<k>      path on k nodes with label 4 on the last edge (k >= 2)
-    D<k>      fork: nodes 0 and 1 both joined to 2, then a path (k >= 3)
-    I2:<m>    dihedral with label m >= 3, or I2:inf
-    tA1       two generators with an infinite label
-    tA<k>     cycle on k+1 nodes, all labels 3 (k >= 2)
-
-    The rank the name implies is checked against MAX_RANK before any
-    matrix is built.
-    """
+    """A<k>, B<k>, D<k> or tA<k> from its diagram in _FAMILIES, or the
+    dihedral I2:<m> for m >= 3 or inf.  The rank a name implies is
+    checked against MAX_RANK before any edge is listed."""
     mo = PRESET_RE.match(name)
     if not mo:
         raise InputError(f"unknown system preset {name!r}")
@@ -118,31 +132,13 @@ def preset_system(name: str) -> CoxeterSystem:
         lab: int | float = INF if mo.group(3) == "inf" else int(mo.group(3))
         if lab != INF and lab < 3:
             raise InputError("I2:<m> needs m >= 3 (use an explicit matrix for m = 2)")
-        return CoxeterSystem(((1, lab), (lab, 1)))
+        return diagram(2, [(0, 1, lab)])
     fam, k = mo.group(1), int(mo.group(2))
-    _check_rank(k + 1 if fam == "tA" else k)
-    if fam in ("A", "tA") and k < 1:
-        raise InputError(f"{fam}<k> needs k >= 1")
-    if fam == "A":
-        return CoxeterSystem(tuple(tuple(r) for r in _path_matrix(k)))
-    if fam == "B":
-        if k < 2:
-            raise InputError("B<k> needs k >= 2")
-        return CoxeterSystem(tuple(tuple(r) for r in _path_matrix(k, last=4)))
-    if fam == "D":
-        if k < 3:
-            raise InputError("D<k> needs k >= 3")
-        m = _path_matrix(k)
-        # prongs 0 and 1 both attach to 2; undo the 0-1 path edge
-        m[0][1] = m[1][0] = 2
-        m[0][2] = m[2][0] = 3
-        return CoxeterSystem(tuple(tuple(r) for r in m))
-    # affine family tA<k>
-    if k == 1:
-        return CoxeterSystem(((1, INF), (INF, 1)))
-    m = _path_matrix(k + 1)
-    m[0][k] = m[k][0] = 3  # close the path into a cycle
-    return CoxeterSystem(tuple(tuple(r) for r in m))
+    least, rank, edges = _FAMILIES[fam]
+    _check_rank(rank(k))
+    if k < least:
+        raise InputError(f"{fam}<k> needs k >= {least}")
+    return diagram(rank(k), edges(k))
 
 
 def _entry_from_json(v, where: str) -> int | float:
@@ -159,9 +155,9 @@ def parse_system(text: str) -> CoxeterSystem:
         {"generators": ["a", "b"], "matrix": [[1, 3], [3, 1]]}
 
     with "inf" standing for an infinite label.  The generators field is
-    optional; its names must be distinct.  The rank is capped at MAX_RANK
-    to bound the size of the input the builders take on, and is checked
-    before the matrix is read.
+    optional; its names must be distinct, non-empty and hold no ',' or
+    ']'.  The rank is capped at MAX_RANK to bound the size of the input
+    the builders take on, and is checked before the matrix is read.
     """
     text = text.strip()
     if text.startswith("{"):

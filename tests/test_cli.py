@@ -169,6 +169,7 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
     )
     repeated = json.dumps({"generators": ["a", "a"], "matrix": [[1, 3], [3, 1]]})
     unnamed = json.dumps({"generators": [], "matrix": [[1, 3], [3, 1]]})
+    unreadable = json.dumps({"generators": ["a,b", "c"], "matrix": [[1, 3], [3, 1]]})
     for argv, message in [
         (("series", "--system", '{"matrix": [1, 2]}', "--max-len", "3"),
          "list of rows"),
@@ -177,6 +178,7 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
         (("genfun", "--system", repeated), "distinct"),
         (("verify", "--system", repeated, "--max-len", "3"), "distinct"),
         (("genfun", "--system", unnamed), "matrix size"),
+        (("genfun", "--system", unreadable), "non-empty"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -187,7 +189,7 @@ def test_huge_preset_exits_2_without_building(capsys, monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError("matrix built before the rank check")
 
-    monkeypatch.setattr(core, "_path_matrix", no_matrix)
+    monkeypatch.setattr(core, "diagram", no_matrix)
     for name in ("A100000", "tA100000"):
         code, _, err = run(capsys, "genfun", "--system", name)
         assert code == 2

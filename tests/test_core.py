@@ -160,6 +160,18 @@ def test_preset_too_small_names_its_family_bound(name, message):
         preset_system(name)
 
 
+def test_diagram_labels_its_edges_and_commutes_elsewhere():
+    s = core.diagram(4, [(0, 1, 3), (3, 1, INF), (1, 0, 5)])
+    assert s.matrix == ((1, 5, 2, 2), (5, 1, 2, INF), (2, 2, 1, 2), (2, INF, 2, 1))
+    assert s.names == ("0", "1", "2", "3")
+
+
+@pytest.mark.parametrize("edge", [(1, 1, 3), (0, 3, 3), (-1, 0, 3)])
+def test_diagram_refuses_an_edge_off_two_of_its_generators(edge):
+    with pytest.raises(InputError, match="two distinct generators below 3"):
+        core.diagram(3, [edge])
+
+
 # explicit-matrix documents --------------------------------------------------
 
 
@@ -195,7 +207,7 @@ def test_preset_rank_cap_is_checked_before_building(name, monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError(f"{name} built a matrix before the rank check")
 
-    monkeypatch.setattr(core, "_path_matrix", no_matrix)
+    monkeypatch.setattr(core, "diagram", no_matrix)
     with pytest.raises(InputError, match="rank"):
         parse_system(name)
 
@@ -211,6 +223,14 @@ def test_repeated_generator_names_are_rejected():
         parse_system(json.dumps(doc))
     with pytest.raises(InputError, match="distinct"):
         CoxeterSystem(((1, 2, 2), (2, 1, 2), (2, 2, 1)), names=("x", "y", "x"))
+
+
+@pytest.mark.parametrize("name", ["", "a,b", "c]"])
+def test_generator_names_a_witness_cannot_carry_are_rejected(name):
+    # verify prints a witness as [a,b,...], and scripts split it on ","
+    doc = {"generators": [name, "x"], "matrix": [[1, 3], [3, 1]]}
+    with pytest.raises(InputError, match=re.escape("non-empty and hold no ',' or ']'")):
+        parse_system(json.dumps(doc))
 
 
 def test_serialize_round_trip():

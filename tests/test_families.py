@@ -1,0 +1,157 @@
+"""Identities that hold across whole families of Coxeter systems and that
+no automaton builds in: Q = 1 where the fully commutative elements are
+finite, the Coxeter elements of a tree, and the shape of Q on affine
+systems.  Systems without a preset are built from their diagrams."""
+
+from functools import lru_cache
+
+import pytest
+
+from cfcgf import cfc_automaton
+from cfcgf.core import diagram, preset_system
+from cfcgf.genfun import counted_genfun
+
+slow = pytest.mark.slow
+
+
+def _path(*labels):
+    return diagram(len(labels) + 1, [(i, i + 1, m) for i, m in enumerate(labels)])
+
+
+def _e(n):
+    """E<n>: the path 0 - ... - n-2 with node n-1 on node 2."""
+    return diagram(n, [(i, i + 1, 3) for i in range(n - 2)] + [(2, n - 1, 3)])
+
+
+DIAGRAMS = {
+    **{f"E{n}": _e(n) for n in (6, 7, 8, 9, 10)},
+    "F4": _path(3, 4, 3),
+    "F5": _path(3, 3, 4, 3),  # the affine F4
+    "H3": _path(5, 3),
+    "H4": _path(5, 3, 3),
+    "tB3": diagram(4, [(0, 2, 3), (1, 2, 3), (2, 3, 4)]),
+    "tC3": _path(4, 3, 4),
+    "tD4": diagram(5, [(leaf, 2, 3) for leaf in (0, 1, 3, 4)]),
+    "tG2": _path(3, 6),
+}
+
+
+def system(name):
+    return DIAGRAMS[name] if name in DIAGRAMS else preset_system(name)
+
+
+@lru_cache(maxsize=None)
+def series(name):
+    """(counts, P/Q) of the pipeline machine of the named system."""
+    return counted_genfun(cfc_automaton.build(system(name), "pipeline"))
+
+
+FINITE_TREES = [
+    *(f"A{k}" for k in range(2, 9)),
+    *(f"B{k}" for k in range(2, 9)),
+    *(f"D{k}" for k in range(4, 9)),
+    "E6", "E7", "E8", "F4",
+    pytest.param("E9", marks=slow),
+    pytest.param("E10", marks=slow),
+    pytest.param("F5", marks=slow),
+]
+AFFINE_TREES = ["tB3", "tC3", "tD4", "tG2"]
+
+
+@pytest.mark.parametrize(
+    "name", [*FINITE_TREES, *(f"I2:{m}" for m in range(3, 9)), "H3", "H4"]
+)
+def test_fc_finite_systems_have_q_1(name):
+    # finitely many fully commutative elements (Stembridge, J. Algebraic
+    # Combin. 5, 1996), so finitely many CFC ones: P/Q is a polynomial
+    assert series(name)[1].den == (1,)
+
+
+@pytest.mark.parametrize("name", [*FINITE_TREES, *AFFINE_TREES, "H3", "H4"])
+def test_a_tree_has_2_to_the_rank_minus_1_coxeter_elements(name):
+    # a Coxeter element, each generator once, is CFC: its rotations are
+    # Coxeter elements too.  A tree's are one per acyclic orientation of
+    # its edges (J.-Y. Shi, The enumeration of Coxeter elements), 2^(r-1)
+    # for rank r.  That no other CFC element has length r is measured,
+    # not proven, and fails on H4 (10 of length 4)
+    r = system(name).rank
+    count = series(name)[0][r]
+    if name.startswith("H"):
+        assert count >= 2 ** (r - 1)
+    else:
+        assert count == 2 ** (r - 1)
+
+
+@pytest.mark.parametrize("name", FINITE_TREES)
+def test_a_finite_trees_longest_cfc_elements_are_its_coxeter_elements(name):
+    # measured, not proven: P has degree r, and its top coefficient
+    # counts the Coxeter elements
+    r = system(name).rank
+    assert series(name)[1].num[r:] == (2 ** (r - 1),)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=slow),
+                               pytest.param(9, marks=slow)])
+def test_affine_a_past_length_n_counts_only_powers_of_coxeter_elements(n):
+    """Measured, not proven: past length n, tA<n> has 2^(n+1) - 2 CFC
+    elements at each multiple of n+1, one per Coxeter element of the
+    cycle, and none at any other length, so Q = 1 - x^(n+1).  Speyer
+    (Proc. AMS 2009) proves only that powers of Coxeter elements are
+    reduced."""
+    h = n + 1
+    gf = series(f"tA{n}")[1]
+    assert gf.den == (1,) + (0,) * n + (-1,)
+    assert gf.expand(6 * h)[h:] == [
+        2 ** h - 2 if k % h == 0 else 0 for k in range(h, 6 * h + 1)
+    ]
+
+
+def _divide(p, d):
+    """p/d for polynomials listed from the constant term, d[0] = 1, or
+    None unless d divides p."""
+    p, q = list(p), []
+    for i in range(len(p) - len(d) + 1):
+        q.append(p[i])
+        for j, c in enumerate(d):
+            p[i + j] -= q[i] * c
+    return tuple(q) if q and not any(p) else None
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(k):
+    """The k-th cyclotomic polynomial, negated for k = 1 to make the
+    constant term 1: 1 - x^k over those of the proper divisors of k."""
+    phi = (1,) + (0,) * (k - 1) + (-1,)
+    for d in range(1, k):
+        if k % d == 0:
+            phi = _divide(phi, _cyclotomic(d))
+    return phi
+
+
+def test_cyclotomic_polynomials():
+    assert [_cyclotomic(k) for k in (1, 2, 3, 4, 6, 12)] == [
+        (1, -1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1), (1, 0, -1, 0, 1)
+    ]
+    assert _divide((1, 0, 0, -1), (1, 1)) is None
+    assert _divide((1, 1), (1, 1, 1)) is None
+
+
+AFFINE_TREE_DENS = {
+    "tB3": (1, 1, 1, 1, 1, 0, -1, -1, -1, -1, -1),  # (1+x+...+x^4)(1-x^6)
+    "tC3": (1, 0, 1, 0, 0, 0, -1, 0, -1),  # (1+x^2)(1-x^6)
+    "tD4": (1, 0, 0, 0, 0, 0, -1),
+    "tG2": (1, 0, 0, 0, 0, -1),
+}
+
+
+@pytest.mark.parametrize("name", [*(f"tA{k}" for k in range(1, 8)), *AFFINE_TREES])
+def test_affine_q_is_a_product_of_cyclotomic_polynomials(name):
+    # measured, not proven: Q's roots are roots of unity
+    den = series(name)[1].den
+    if name in AFFINE_TREE_DENS:
+        assert den == AFFINE_TREE_DENS[name]
+    rest = den
+    for k in range(1, len(den)):
+        while (quotient := _divide(rest, _cyclotomic(k))) is not None:
+            rest = quotient
+    assert rest == (1,)
