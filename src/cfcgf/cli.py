@@ -62,7 +62,7 @@ def cmd_automaton(args) -> int:
     if args.stats:
         _print_stats(a)
     if args.dot:
-        _write_or_print(a.to_dot(system.names, keep_dead=args.keep_sink), args.dot)
+        _write_or_print(a.to_dot(system.names), args.dot)
     if args.out or not (args.stats or args.dot):
         _write_or_print(a.json_pieces(system.names), args.out)
     return 0
@@ -70,8 +70,7 @@ def cmd_automaton(args) -> int:
 
 def cmd_series(args) -> int:
     system = _load_system(args.system)
-    stage = "cfc" if args.per_expression else "pipeline"
-    a = cfc_automaton.build(system, stage, args.state_budget)
+    a = cfc_automaton.build(system, args.stage, args.state_budget)
     coeffs = genfun.count_by_length(a, args.max_len)
     _write_json({"coeffs": [str(c) for c in coeffs]}, args.out)
     return 0
@@ -79,9 +78,8 @@ def cmd_series(args) -> int:
 
 def cmd_genfun(args) -> int:
     system = _load_system(args.system)
-    stage = "cfc" if args.per_expression else "pipeline"
     coeffs, gf = genfun.counted_genfun(
-        cfc_automaton.build(system, stage, args.state_budget)
+        cfc_automaton.build(system, args.stage, args.state_budget)
     )
     print(gf)
     if args.out:
@@ -95,7 +93,7 @@ def cmd_oracle(args) -> int:
     report = oracle.count_elements(
         system,
         args.max_len,
-        kind="fc" if args.stage == "fc" else "cfc",
+        kind=args.stage,
         budget=args.class_budget,
         witnesses=args.witnesses,
     )
@@ -209,21 +207,19 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="print raw, trimmed, and minimized state counts")
     p.add_argument("--dot", help="write DOT rendering to this path")
-    p.add_argument("--keep-sink", action="store_true", dest="keep_sink",
-                   help="include the sink state in the DOT rendering")
     p.set_defaults(func=cmd_automaton)
 
     p = subs.add_parser("series", help="per-length counts")
     _common(p, max_len=True)
-    p.add_argument("--per-expression", action="store_true",
-                   dest="per_expression",
+    p.add_argument("--per-expression", action="store_const", const="cfc",
+                   default="pipeline", dest="stage",
                    help="count reduced expressions instead of elements")
     p.set_defaults(func=cmd_series)
 
     p = subs.add_parser("genfun", help="rational generating function")
     _common(p)
-    p.add_argument("--per-expression", action="store_true",
-                   dest="per_expression",
+    p.add_argument("--per-expression", action="store_const", const="cfc",
+                   default="pipeline", dest="stage",
                    help="count reduced expressions instead of elements")
     p.set_defaults(func=cmd_genfun)
 

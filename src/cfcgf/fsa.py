@@ -85,28 +85,27 @@ class Dfa(Value):
         yield _json_array([str(q) for q in sorted(self.finals)], 2)
         yield f',\n  "initial": {self.initial},\n  "states": {self.num_states}\n}}\n'
 
-    def to_dot(self, names, keep_dead: bool = False):
+    def to_dot(self, names):
         """GraphViz rendering, with names[a] labelling letter a, in pieces,
         one per line, as `json_pieces` gives the JSON.  The dead state and
-        its edges are omitted unless asked for, since a complete automaton
-        routes every rejected word there and the clutter hides the
-        structure."""
-        skip = self.dead if (self.dead is not None and not keep_dead) else None
+        its edges are omitted, since a complete automaton routes every
+        rejected word there and the clutter hides the structure."""
+        dead = self.dead
         yield "digraph dfa {\n"
         yield "  rankdir=LR;\n"
         yield '  start [shape=none, label=""];\n'
         for q in range(self.num_states):
-            if q == skip:
+            if q == dead:
                 continue
             shape = "doublecircle" if q in self.finals else "circle"
             yield f"  q{q} [shape={shape}, label=\"{q}\"];\n"
         yield f"  start -> q{self.initial};\n"
         for q, row in enumerate(self.delta):
-            if q == skip:
+            if q == dead:
                 continue
             grouped: dict[int, list[str]] = {}
             for a, r in enumerate(row):
-                if r == skip:
+                if r == dead:
                     continue
                 grouped.setdefault(r, []).append(names[a])
             for r in sorted(grouped):
@@ -445,8 +444,10 @@ def rotation_closure(
     dead state, which only the start holds, and only when the guide's
     language is empty.  Reading c moves every r to delta(r, c) and adds
     the entry (q0, alive(T_wc)), the smallest set, in place of any other
-    at q0; the result is the sink when wc leaves L(a), some r is dead, or
-    g is dead.
+    at q0; the result is the sink when some r is dead or g is dead.  The
+    entry born at the start sits at delta(q0, w), since a merge keeps one
+    entry per r and the new entry replaces only the one at q0, so wc
+    leaves L(a) exactly when that entry's r is dead.
 
     The sink is also next when some entry, after its step and any merge,
     has S & reach(r, g) empty, where g is the guide's new state and
@@ -469,8 +470,8 @@ def rotation_closure(
     the machines' own transformations.  Each machine's transformations
     form a small machine (`_transformations`), and T is a state of their
     product, packed as `product` packs states and stepped by the same
-    code: it goes to the sink when some machine's T(q0) dies, that is,
-    when the word leaves L(a).  alive(T) is the AND, over the machines, of
+    code; a step moves T only once the entry at delta(q0, w) has survived,
+    so no machine's T(q0) dies.  alive(T) is the AND, over the machines, of
     the bitmask of the states of a whose component that machine's
     transformation keeps alive; it is computed once per T.  Two packed Ts
     that differ only on components no state in their common alive set
@@ -479,7 +480,7 @@ def rotation_closure(
     product(machines) itself.  Each S is interned in `class_of`.  A state is
     one key, the bytes of an array("I"): T's class id, g, then M's (r, S
     id) pairs sorted by r.  A step moves and checks M's entries before it
-    looks up the class of the new T, so only the Ts of states that pass
+    steps T and looks up its class, so only the Ts of states that pass
     are registered.  Each machine adds a component to T, a bitmask to
     alive(T) and a digit to the packed T, so a machine whose language
     holds another's adds work and no states: leave it out, as
@@ -589,9 +590,6 @@ def rotation_closure(
         g = guide.delta[flat[1]][c]
         if g == g_dead:
             return None
-        t = next_t(reps[flat[0]], c)
-        if t is None:
-            return None
         col = cols[c]
         entries: dict[int, int] = {}
         for i in range(2, len(flat), 2):
@@ -606,8 +604,9 @@ def rotation_closure(
                 return None
             entries[r] = rs
         # only now the new entry (q0, alive(T)), the smallest set, so that
-        # T's class is looked up only for states that get this far
-        tid = class_of(t)
+        # T steps only for states that get this far; the entry at
+        # delta(q0, w) did not die, so wc is in L(a) and T has a successor
+        tid = class_of(next_t(reps[flat[0]], c))
         entries[q0] = rep_alive[tid]
         return pack(tid, g, entries)
 

@@ -29,6 +29,8 @@ def test_system_is_a_hashable_value():
     assert repr(a) == "CoxeterSystem(matrix=((1, 3), (3, 1)), names=('0', '1'))"
     with pytest.raises(AttributeError):
         a.names = ("x", "y")
+    with pytest.raises(AttributeError, match="cannot delete field 'names'"):
+        del a.names
 
 
 def test_matrix_must_be_square():

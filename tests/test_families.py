@@ -1,15 +1,18 @@
 """Identities that hold across whole families of Coxeter systems and that
 no automaton builds in: Q = 1 where the fully commutative elements are
 finite, the Coxeter elements of a tree, and the shape of Q on affine
-systems.  Systems without a preset are built from their diagrams."""
+systems, and the product a reducible system is.  Systems without a preset
+are built from their diagrams."""
 
+import random
 from functools import lru_cache
+from math import comb
 
 import pytest
 
 from cfcgf import cfc_automaton
-from cfcgf.core import diagram, preset_system
-from cfcgf.genfun import counted_genfun
+from cfcgf.core import INF, diagram, preset_system
+from cfcgf.genfun import count_by_length, counted_genfun
 
 slow = pytest.mark.slow
 
@@ -155,3 +158,42 @@ def test_affine_q_is_a_product_of_cyclotomic_polynomials(name):
         while (quotient := _divide(rest, _cyclotomic(k))) is not None:
             rest = quotient
     assert rest == (1,)
+
+
+def _component(rng, rank):
+    """A system of the given rank with a label from 3, 4, 5, 6 and
+    infinity on every pair of generators."""
+    return diagram(rank, [(i, j, rng.choice((3, 4, 5, 6, INF)))
+                          for i in range(rank) for j in range(i + 1, rank)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_reducible_system_counts_as_the_product_of_its_components(seed):
+    """Letters of different components commute, so an element of W1 x W2
+    is a pair of elements, and it is CFC iff both are: CFC(W1 x W2) =
+    CFC(W1) x CFC(W2).  Element counts are then the Cauchy product of the
+    components' counts, and reduced words, being shuffles of one word of
+    each, their binomial convolution.  The automata know none of this:
+    they close the joint product of all factors under rotation."""
+    rng = random.Random(seed)
+    parts = [_component(rng, rng.randint(2, 3)), _component(rng, 2)]
+    # the union's generators, the components' interleaved at random
+    places = rng.sample(range(parts[0].rank + 2), parts[0].rank + 2)
+    homes = places[:parts[0].rank], places[parts[0].rank:]
+    union = diagram(len(places), [(at[i], at[j], part.m(i, j))
+                                  for part, at in zip(parts, homes)
+                                  for i in range(part.rank)
+                                  for j in range(i + 1, part.rank)])
+    n = 30
+
+    def counts(system, stage):
+        return count_by_length(cfc_automaton.build(system, stage), n)
+
+    b, c = (counts(part, "pipeline") for part in parts)
+    assert counts(union, "pipeline") == [
+        sum(b[i] * c[k - i] for i in range(k + 1)) for k in range(n + 1)
+    ]
+    b, c = (counts(part, "cfc") for part in parts)
+    assert counts(union, "cfc") == [
+        sum(comb(k, i) * b[i] * c[k - i] for i in range(k + 1)) for k in range(n + 1)
+    ]

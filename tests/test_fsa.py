@@ -53,6 +53,8 @@ def test_validation():
         Dfa(1, ((0,),), 0, frozenset({0}), dead=0)
     with pytest.raises(InputError):  # the dead state leads back to acceptance
         Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)
+    with pytest.raises(InputError, match="dead state out of range"):
+        Dfa(1, ((0,),), 0, frozenset(), dead=1)
 
 
 def test_a_valid_table_passes_the_range_check():
@@ -121,8 +123,11 @@ def test_product_sends_any_dead_machine_to_its_one_sink():
 
 
 def test_intersect_alphabet_mismatch():
-    with pytest.raises(InputError):
-        fsa.product([even_ones(), Dfa(3, ((0, 0, 0),), 0, frozenset({0}))])
+    three = Dfa(3, ((0, 0, 0),), 0, frozenset({0}))
+    with pytest.raises(InputError, match="cannot intersect automata over different"):
+        fsa.product([even_ones(), three])
+    with pytest.raises(InputError, match="cannot compare automata over different"):
+        difference_witness(even_ones(), three)
 
 
 def test_trim_drops_unreachable_and_hopeless():
@@ -223,6 +228,9 @@ def test_rotation_closure_needs_a_prefix_closed_machine():
         rotation_closure([Dfa(1, ((1,), (0,)), 0, frozenset({0}), dead=1)])
     with pytest.raises(InputError):  # the guide must be prefix-closed too
         rotation_closure([Dfa(2, ((0, 0),), 0, frozenset({0}))], even_ones())
+    with pytest.raises(InputError, match="cannot guide over a different alphabet"):
+        rotation_closure([Dfa(2, ((0, 0),), 0, frozenset({0}))],
+                         Dfa(3, ((0, 0, 0),), 0, frozenset({0})))
 
 
 def test_dot_output():
@@ -233,8 +241,6 @@ def test_dot_output():
     assert "q2" not in dot
     assert "doublecircle" in dot
     assert 'q0 -> q1 [label="a"];' in dot
-    full = "".join(d.to_dot(("a", "b"), keep_dead=True))
-    assert "q2" in full
 
 
 def test_dot_labels_escape_quotes_and_backslashes():
@@ -244,7 +250,7 @@ def test_dot_labels_escape_quotes_and_backslashes():
         "matrix": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
     }))
     a = cfc_automaton.build(system, "pipeline")
-    dot = "".join(a.to_dot(system.names, keep_dead=True))
+    dot = "".join(a.to_dot(system.names))
     labels = [line.split("label=", 1)[1] for line in dot.splitlines()
               if "label=" in line]
     assert len(labels) > 3

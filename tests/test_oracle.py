@@ -111,6 +111,8 @@ def test_fc_mode_skips_rotation_filter():
     assert r.kind == "fc"
     assert r.counts() == [1, 3, 5, 4, 1]
     assert r.cfc_counts is None
+    with pytest.raises(ValueError, match="kind must be 'fc' or 'cfc', not 'x'"):
+        oracle.count_elements(preset_system("A3"), 4, kind="x")
 
 
 def test_witnesses_a3_length_3():
