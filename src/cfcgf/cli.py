@@ -50,17 +50,12 @@ def _write_json(doc: dict, out: str | None) -> None:
     _write_or_print([json.dumps(doc, indent=2, sort_keys=True), "\n"], out)
 
 
-def _print_stats(a: fsa.Dfa) -> None:
-    """Print the raw, trimmed and minimized state counts."""
-    raw, trimmed, minimized = fsa.state_counts(a)
-    print(f"states {raw}\ntrimmed {trimmed}\nminimized {minimized}")
-
-
 def cmd_automaton(args) -> int:
     system = _load_system(args.system)
     a = cfc_automaton.build(system, args.stage, args.state_budget)
     if args.stats:
-        _print_stats(a)
+        raw, trimmed, minimized = fsa.state_counts(a)
+        print(f"states {raw}\ntrimmed {trimmed}\nminimized {minimized}")
     if args.dot:
         _write_or_print(a.to_dot(system.names), args.dot)
     if args.out or not (args.stats or args.dot):

@@ -165,7 +165,7 @@ def parse_system(text: str) -> CoxeterSystem:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise InputError(f"bad system document: {e}") from None
-        if not isinstance(doc, dict) or "matrix" not in doc:
+        if "matrix" not in doc:
             raise InputError('system document needs a "matrix" field')
         raw = doc["matrix"]
         if not isinstance(raw, list) or not raw or not all(

@@ -73,7 +73,7 @@ class Dfa(Value):
         falls back to its pure-Python encoder, which is slow on large
         transition tables."""
         yield '{\n  "alphabet": '
-        yield _json_array([json.dumps(x) for x in names], 2)
+        yield _json_array([json.dumps(x) for x in names])
         yield f',\n  "dead": {json.dumps(self.dead)},\n  "delta": ['
         sep = ",\n      "
         comma = ""  # none before the first row
@@ -82,7 +82,7 @@ class Dfa(Value):
                    else f"{comma}\n    []")
             comma = ","
         yield '\n  ],\n  "finals": '
-        yield _json_array([str(q) for q in sorted(self.finals)], 2)
+        yield _json_array([str(q) for q in sorted(self.finals)])
         yield f',\n  "initial": {self.initial},\n  "states": {self.num_states}\n}}\n'
 
     def to_dot(self, names):
@@ -120,13 +120,12 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _json_array(items: list[str], indent: int) -> str:
+def _json_array(items: list[str]) -> str:
     """A JSON array of already encoded items, laid out as json.dumps does
-    with indent=2 when the array sits at the given depth in spaces."""
+    with indent=2 for an array that is a field of the top-level object."""
     if not items:
         return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 def coreachable(dfa: Dfa) -> bytearray:
@@ -348,11 +347,7 @@ def _product(machines: list[Dfa], state_budget: int):
     """`product`'s machine, its packed states as `_explore` lists them,
     and the packing's weights."""
     weights, step = _packed(machines)
-    # a state holds no machine's dead state, but at the start, so only
-    # machines with some other rejecting state need checking after it
-    checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)
-              if len(a.finals) + (a.dead is not None) < a.num_states
-              or a.initial == a.dead]
+    checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)]
 
     def accepts(x: int) -> bool:
         return all(x // w % n in finals for w, n, finals in checks)

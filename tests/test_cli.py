@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,9 +171,18 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
     repeated = json.dumps({"generators": ["a", "a"], "matrix": [[1, 3], [3, 1]]})
     unnamed = json.dumps({"generators": [], "matrix": [[1, 3], [3, 1]]})
     unreadable = json.dumps({"generators": ["a,b", "c"], "matrix": [[1, 3], [3, 1]]})
+    not_a_list = json.dumps({"generators": "ab", "matrix": [[1, 3], [3, 1]]})
+    not_strings = json.dumps({"generators": [1, 2], "matrix": [[1, 3], [3, 1]]})
     for argv, message in [
         (("series", "--system", '{"matrix": [1, 2]}', "--max-len", "3"),
          "list of rows"),
+        (("genfun", "--system", "{}"), 'needs a "matrix" field'),
+        (("genfun", "--system", '{"matrix": [[1, 2.5], [2.5, 1]]}'),
+         'must be an integer or "inf"'),
+        (("genfun", "--system", '{"matrix": [[1, true], [true, 1]]}'),
+         'must be an integer or "inf"'),
+        (("genfun", "--system", not_a_list), "must be a list of strings"),
+        (("genfun", "--system", not_strings), "must be a list of strings"),
         (("genfun", "--system", str(not_utf8)), "UTF-8"),
         (("genfun", "--system", rank_17), "rank"),
         (("genfun", "--system", repeated), "distinct"),
@@ -446,17 +456,21 @@ def test_options_a_command_does_not_read_exit_2(capsys):
 
 
 def test_negative_max_len_exits_2(capsys):
-    # and budgets below 1
-    for argv in [
-        ("series", "--system", "A2", "--max-len", "-1"),
-        ("automaton", "--system", "A2", "--state-budget", "-5"),
-        ("automaton", "--system", "A2", "--state-budget", "0"),
-        ("oracle", "--system", "A2", "--max-len", "3", "--class-budget", "-1"),
-        ("oracle", "--system", "A2", "--max-len", "3", "--class-budget", "0"),
+    # and budgets below 1, and a length that is not a number
+    for argv, message in [
+        (("series", "--system", "A2", "--max-len", "-1"), "must be >= 0"),
+        (("series", "--system", "A2", "--max-len", "x"), "'x' is not an integer"),
+        (("automaton", "--system", "A2", "--state-budget", "-5"), "must be >= 1"),
+        (("automaton", "--system", "A2", "--state-budget", "0"), "must be >= 1"),
+        (("oracle", "--system", "A2", "--max-len", "3", "--class-budget", "-1"),
+         "must be >= 1"),
+        (("oracle", "--system", "A2", "--max-len", "3", "--class-budget", "0"),
+         "must be >= 1"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_series_counts_elements(capsys):
@@ -601,3 +615,25 @@ def test_importing_the_cli_pulls_in_no_heavy_stdlib_chain():
     added = set(done.stdout.split())
     assert "cfcgf.cli" in added
     assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+
+
+def test_the_benchmark_tracer_still_finds_the_layers(tmp_path):
+    # perfbench/traced_cli.py wraps package functions by name and leaves
+    # out one it cannot find, so a rename would only zero a layer's row;
+    # it also reads fsa.trim unguarded, so losing that fails the run
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    names = set()
+    for argv in [("genfun", "--system", "tA3", "--out", str(tmp_path / "gf.json")),
+                 ("automaton", "--system", "A3", "--stage", "cfc", "--stats")]:
+        spans = tmp_path / "spans.json"
+        done = subprocess.run(
+            [sys.executable, str(tracer), str(spans),
+             str(time.clock_gettime_ns(time.CLOCK_MONOTONIC)), "--", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(spans.read_text())
+        assert not [s for s in doc["spans"] if s.get("counts_failed")], argv
+        names |= {s["name"] for s in doc["spans"]}
+    assert names >= {"cli.main", "core.parse_system", "cfc_automaton.build",
+                     "lexnf.build", "fsa.minimize", "genfun.find_recurrence",
+                     "genfun.to_rational"}

@@ -36,6 +36,8 @@ def test_system_is_a_hashable_value():
 def test_matrix_must_be_square():
     with pytest.raises(InputError):
         CoxeterSystem(((1, 3), (3, 1, 2)))
+    with pytest.raises(InputError, match="needs at least one generator"):
+        core.diagram(0, [])
 
 
 def test_matrix_must_be_symmetric():

@@ -90,6 +90,9 @@ def test_equality_compares_every_field():
     assert d != Dfa(2, ((0, 1), (1, 0)), 0, frozenset({1}))
     assert Dfa(1, ((0,),), 0, frozenset()) != Dfa(1, ((0,),), 0, frozenset(), dead=0)
     assert pickle.loads(pickle.dumps(d)) == d
+    # a value of another class is left to Python's fallback
+    assert parse_system("A2").__eq__(3) is NotImplemented
+    assert (parse_system("A2") == 3) is False
     with pytest.raises(AttributeError):
         d.initial = 1
 
