@@ -18,17 +18,19 @@ from .errors import CfcError, InputError
 
 
 def _load_system(source: str) -> CoxeterSystem:
-    text = source
-    if not source.lstrip().startswith("{"):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            if not PRESET_RE.match(source.strip()):
-                raise InputError(f"--system {source!r} is neither a preset name "
-                                 f"nor a readable file: {e.strerror}") from None
-        except UnicodeDecodeError as e:
-            raise InputError(f"system file {source!r} is not UTF-8: {e}") from None
+    """The system --system gives: a preset name, a JSON document, or the
+    path of a file that holds one.  A preset name always names the
+    preset; a file named like one is read when given as ./A3."""
+    if source.lstrip().startswith("{") or PRESET_RE.match(source.strip()):
+        return parse_system(source)
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise InputError(f"--system {source!r} is neither a preset name "
+                         f"nor a readable file: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"system file {source!r} is not UTF-8: {e}") from None
     return parse_system(text)
 
 

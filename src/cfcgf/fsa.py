@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import deque
+from itertools import compress
 
 from .errors import BudgetError, InputError
 from .value import Value
@@ -266,24 +267,30 @@ def explore(start, step, accepts, alphabet_size: int, state_budget: int) -> Dfa:
     step(q, c) is the successor of state q on letter c < alphabet_size, or
     None for the sink.  Its states are numbered in discovery order with the
     start at 0 and the sink at 1, its dead state; a found state q accepts
-    iff accepts(q).  At most state_budget states are allowed, the sink
-    included."""
-    return _explore(start, step, accepts, alphabet_size, state_budget)[0]
+    iff accepts(q), asked once, when q is expanded.  At most state_budget
+    states are allowed, the sink included."""
+    flat, flags, states = _explore(start, step, accepts, alphabet_size,
+                                   state_budget)
+    del states  # the keys go before the rows are made
+    return _machine(alphabet_size, flat, flags)
 
 
 def _explore(start, step, accepts, alphabet_size: int, state_budget: int):
-    """`explore`'s machine and its states, numbered as the machine numbers
-    them, with None for the sink."""
+    """`explore`'s rows as one flat array, state by state, its acceptance
+    flags, and its states, numbered as the machine numbers them, with
+    None for the sink.  The registry of found states is gone on return."""
     if state_budget < 2:  # the start and the sink
         raise BudgetError(f"state budget {state_budget} exceeded while building")
     states = [start, None]
     numbered = {start: 0}
-    delta: list[tuple[int, ...]] = []
+    flat = array("I")
+    flags = bytearray()
     for q in states:  # grows as states are found
         if q is None:
-            delta.append((1,) * alphabet_size)
+            flat.extend([1] * alphabet_size)
+            flags.append(0)
             continue
-        row = []
+        flags.append(bool(accepts(q)))
         for c in range(alphabet_size):
             r = step(q, c)
             rid = 1 if r is None else numbered.get(r)
@@ -295,12 +302,19 @@ def _explore(start, step, accepts, alphabet_size: int, state_budget: int):
                     )
                 numbered[r] = rid
                 states.append(r)
-            row.append(rid)
-        delta.append(tuple(row))
-    finals = frozenset(
-        i for i, q in enumerate(states) if q is not None and accepts(q)
-    )
-    return Dfa(alphabet_size, tuple(delta), 0, finals, 1), states
+            flat.append(rid)
+    return flat, flags, states
+
+
+def _machine(alphabet_size: int, flat: array, flags: bytearray) -> Dfa:
+    """The machine of `_explore`'s rows and flags.  Its rows and finals
+    share one int object per state id: the array's entries, read one by
+    one, would each be a new int."""
+    ids = list(range(len(flags)))
+    entries = map(ids.__getitem__, flat)
+    delta = (tuple(zip(*[entries] * alphabet_size)) if alphabet_size
+             else ((),) * len(flags))
+    return Dfa(alphabet_size, delta, 0, frozenset(compress(ids, flags)), 1)
 
 
 def _packed(machines: list[Dfa]):
@@ -353,25 +367,31 @@ def _product(machines: list[Dfa], state_budget: int):
         return all(x // w % n in finals for w, n, finals in checks)
 
     start = sum(a.initial * w for a, w in zip(machines, weights))
-    a, states = _explore(start, step, accepts, machines[0].alphabet_size,
-                         state_budget)
-    return a, states, weights
+    k = machines[0].alphabet_size
+    flat, flags, states = _explore(start, step, accepts, k, state_budget)
+    return _machine(k, flat, flags), states, weights
 
 
 def _transformations(a: Dfa, state_budget: int):
     """The machine of the transformations x -> delta(x, w) of a's states,
     built by `_explore` from the identity: T goes to T.c on letter c, or
-    to the sink once T(q0) is dead.  Its states, each T as the tuple of
-    its images, come with it."""
+    to the sink once T(q0) is dead.  Its states, each T as the bytes of
+    an array("I") of its images, come with it: packed, a step thrown away
+    as a duplicate leaves no tuple behind in the interpreter's free lists."""
     cols = [[row[c] for row in a.delta] for c in range(a.alphabet_size)]
     q0, dead = a.initial, a.dead
 
-    def step(t: tuple[int, ...], c: int) -> tuple[int, ...] | None:
+    def step(t: bytes, c: int) -> bytes | None:
         col = cols[c]
-        return None if col[t[q0]] == dead else tuple(map(col.__getitem__, t))
+        images = memoryview(t).cast("I")
+        if col[images[q0]] == dead:
+            return None
+        return array("I", map(col.__getitem__, images)).tobytes()
 
-    return _explore(tuple(range(a.num_states)), step, lambda t: True,
-                    a.alphabet_size, state_budget)
+    k = a.alphabet_size
+    flat, flags, states = _explore(array("I", range(a.num_states)).tobytes(),
+                                   step, lambda t: True, k, state_budget)
+    return _machine(k, flat, flags), states
 
 
 def _bitmask(bits: list[int], size: int) -> int:
@@ -514,12 +534,14 @@ def rotation_closure(
                 members[p // w % n].append(x)
         parts = [_bitmask(xs, len(states)) for xs in members]
         # the parts are disjoint, so their sum is their union
-        alive = [0 if t is None else sum(p for p, y in zip(parts, t) if y != m.dead)
+        alive = [0 if t is None
+                 else sum(p for p, y in zip(parts, memoryview(t).cast("I"))
+                          if y != m.dead)
                  for t in images]
         # transformation i maps state y to flat[i * n + y]; the sink, zeros
         flat = array("I")
         for t in images:
-            flat.extend(t or (0,) * n)
+            flat.frombytes(t or bytes(flat.itemsize * n))
         t_machines.append(tm)
         t_tables.append((n, flat, parts, alive))
     del states, images

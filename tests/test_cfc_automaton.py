@@ -71,32 +71,66 @@ def test_state_census_frozen():
 
 
 # the raw machines the benchmark's build workload emits, for their preset
-# names: fsa.state_counts of the pipeline and the fc machine, and the
-# SHA-256 of the pipeline's JSON
+# names: fsa.state_counts and the SHA-256 of the JSON of the pipeline,
+# then of the fc machine
 BUILD_CENSUS = {
-    "tA6": ((2765, 2754, 1292), (366, 366, 366),
-            "5727dd29168c4c363fc9f796052473eeb841d8e0ba1395e39aa08785da9baf33"),
-    "tA7": ((7477, 7403, 2884), (852, 852, 852),
-            "578c2f08fbcf7ad54f16242035ccd013cdcd391dad08664d599069de2430051f"),
-    "A8": ((1598, 1598, 94), (817, 817, 810),
-           "b145579538dfe632036a1e9d4d136d426cc2fc18611b28b365389fee67606407"),
-    "A9": ((4182, 4182, 131), (1898, 1898, 1890),
-           "c668f9dd05448c890e6eb150fb5f5a7cfcb3174c11536d6c159ce10f7fc266c5"),
-    "B7": ((755, 611, 65), (445, 445, 440),
-           "311c1b2bee1611f14d7ad59ae26a596a7b5cfe2091d3113d8eab4a3ca7df510f"),
-    "D7": ((734, 632, 75), (393, 393, 387),
-           "49ad3ebe602c2ea06f0bc8b623b63cbb9186b2706f443d96279f035938cb869e"),
+    "tA6": ((2765, 2754, 1292),
+            "5727dd29168c4c363fc9f796052473eeb841d8e0ba1395e39aa08785da9baf33",
+            (366, 366, 366),
+            "66fbe5868a4e70a9504c5572dbe7f103109994af573a3c3578698f30cf35df66"),
+    "tA7": ((7477, 7403, 2884),
+            "578c2f08fbcf7ad54f16242035ccd013cdcd391dad08664d599069de2430051f",
+            (852, 852, 852),
+            "9e01981df4ebcf6d59b64e51a3ce1a9ce27cb1e8da2acd34bddb233d4244b44b"),
+    "A8": ((1598, 1598, 94),
+           "b145579538dfe632036a1e9d4d136d426cc2fc18611b28b365389fee67606407",
+           (817, 817, 810),
+           "92d738b4c66474948f2fef77242512efeecebe5ce56793b979eb524fdb46d345"),
+    "A9": ((4182, 4182, 131),
+           "c668f9dd05448c890e6eb150fb5f5a7cfcb3174c11536d6c159ce10f7fc266c5",
+           (1898, 1898, 1890),
+           "516c457a149e409cae0bdff1d1382b116732d9e4820a9d0783db1651cf868581"),
+    "B7": ((755, 611, 65),
+           "311c1b2bee1611f14d7ad59ae26a596a7b5cfe2091d3113d8eab4a3ca7df510f",
+           (445, 445, 440),
+           "35030ec88039148f781122e9ee2e81207daa26c9e88d8ee2e66c15a79899ea68"),
+    "D7": ((734, 632, 75),
+           "49ad3ebe602c2ea06f0bc8b623b63cbb9186b2706f443d96279f035938cb869e",
+           (393, 393, 387),
+           "278200479ff1c019388a3b02fb222708a75f1595d64b4436dec0c749bf4263ec"),
 }
 
 
 @pytest.mark.parametrize("name", BUILD_CENSUS)
 def test_build_workload_machines_frozen(name):
-    pipeline_counts, fc_counts, digest = BUILD_CENSUS[name]
+    pipeline_counts, pipeline_digest, fc_counts, fc_digest = BUILD_CENSUS[name]
     system = preset_system(name)
-    a = build(system, "pipeline")
-    assert fsa.state_counts(a) == pipeline_counts
+    for stage, counts, digest in [("pipeline", pipeline_counts, pipeline_digest),
+                                  ("fc", fc_counts, fc_digest)]:
+        a = build(system, stage)
+        assert fsa.state_counts(a) == counts, stage
+        assert hashlib.sha256(to_json(a, system.names).encode()).hexdigest() == digest
+
+
+# the raw cfc-stage machines, for their preset names: the number of
+# states and the SHA-256 of the JSON
+CFC_CENSUS = {
+    "tA5": (1349, "944e27fdb9f357743194309aa61780d859eefefa1faf3ad9e9a811579438dc79"),
+    "tA6": (5007, "9c5eba9866f5d1358531b5b23865ae899b7f9666c040f1a425cfa030152ad3e1"),
+    "A7": (1431, "6db537806665f12a873796b466b32fb151a66b5a73dc84c8546f6a6ed4100753"),
+    "B6": (1056, "3afaad4419f24faeb31187979c4c6fa15f142ab465707251a819d59b9ad278ac"),
+}
+
+
+@pytest.mark.parametrize("name", CFC_CENSUS)
+def test_cfc_stage_machines_frozen(name):
+    states, digest = CFC_CENSUS[name]
+    system = preset_system(name)
+    a = build(system, "cfc")
+    assert a.num_states == states
     assert hashlib.sha256(to_json(a, system.names).encode()).hexdigest() == digest
-    assert fsa.state_counts(build(system, "fc")) == fc_counts
+
+
 def test_builds_are_reproducible():
     a = build(preset_system("B3"))
     b = build(preset_system("B3"))

@@ -156,6 +156,18 @@ def test_unknown_system_exits_2(capsys, tmp_path):
                        f"a readable file: {os.strerror(reason)}\n")
 
 
+def test_a_preset_name_is_never_read_as_a_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, a3, _ = run(capsys, "genfun", "--system", "A3")
+    assert code == 0
+    # the answer written to a file named A3 does not shadow the preset
+    assert run(capsys, "genfun", "--system", "A3", "--out", "A3")[0] == 0
+    assert run(capsys, "genfun", "--system", "A3") == (0, a3, "")
+    # a system file named like a preset is read through a path
+    (tmp_path / "A3").write_text(json.dumps({"matrix": [[1, 3], [3, 1]]}))
+    assert run(capsys, "genfun", "--system", "./A3") == (0, "(1 + 2x + 2x^2)/(1)\n", "")
+
+
 def test_malformed_matrix_exits_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "series", "--system", '{"matrix": [[1, 3], [2, 1]]}',

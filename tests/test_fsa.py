@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfcgf import cfc_automaton, fsa
 from cfcgf.core import parse_system
-from cfcgf.errors import InputError
+from cfcgf.errors import BudgetError, InputError
 from cfcgf.fsa import (
     Dfa,
     coreachable,
@@ -102,6 +102,58 @@ def test_accepts():
     assert d.accepts(())
     assert d.accepts((1, 1, 0))
     assert not d.accepts((1, 0))
+
+
+def explore_short_words(log: list, state_budget: int = 10) -> Dfa:
+    """The words of length at most 2 over {0, 1} as states, the longer
+    ones in the sink; the words of length 1 accept.  log records each
+    call to accepts and step."""
+    def step(q, c):
+        log.append(("step", q, c))
+        return q + (c,) if len(q) < 2 else None
+
+    def accepts(q):
+        log.append(("accepts", q))
+        return len(q) == 1
+
+    return fsa.explore((), step, accepts, 2, state_budget)
+
+
+def test_explore_numbers_states_in_discovery_order():
+    log = []
+    a = explore_short_words(log)
+    # the start at 0, the sink at 1, then each word as it is found
+    rows = ((2, 3), (1, 1), (4, 5), (6, 7)) + ((1, 1),) * 4
+    assert a == Dfa(2, rows, 0, frozenset({2, 3}), 1)
+    # accepts is asked once of each found state, as it is expanded, and
+    # never of the sink
+    found = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    assert log == [e for q in found for e in [("accepts", q), ("step", q, 0),
+                                               ("step", q, 1)]]
+
+
+def test_explore_budget_counts_the_sink():
+    assert explore_short_words([], 8).num_states == 8
+    for budget in (7, 1):
+        with pytest.raises(BudgetError, match=f"state budget {budget} exceeded"):
+            explore_short_words([], budget)
+
+
+def test_explore_without_letters_gives_the_start_and_the_sink():
+    asked = []
+    a = fsa.explore("q", None, lambda q: asked.append(q) or True, 0, 2)
+    assert a == Dfa(0, ((), ()), 0, frozenset({0}), 1)
+    assert asked == ["q"]
+
+
+def test_explore_rows_share_one_int_per_state_id():
+    # ids past 256 are not cached by the interpreter: a table that held a
+    # new int for every entry would take far more memory
+    a = fsa.explore(0, lambda q, c: (q + 1 + c * 7) % 300, lambda q: q % 2 == 0,
+                    2, 1000)
+    assert a.num_states == 301
+    entries = [r for row in a.delta for r in row] + list(a.finals)
+    assert len({id(r) for r in entries}) == len(set(entries)) == a.num_states
 
 
 def test_intersect_matches_conjunction():
