@@ -68,7 +68,10 @@ def cmd_automaton(args) -> int:
 def cmd_series(args) -> int:
     system = _load_system(args.system)
     a = cfc_automaton.build(system, args.stage, args.state_budget)
-    coeffs = genfun.count_by_length(a, args.max_len)
+    # counted until a P/Q holds, whose expansion is then the rest
+    coeffs, gf = genfun.counted_genfun(a, args.max_len)
+    if gf is not None:
+        coeffs += gf.expand(args.max_len)[len(coeffs):]
     _write_json({"coeffs": [str(c) for c in coeffs]}, args.out)
     return 0
 

@@ -214,9 +214,10 @@ def _refine(dfa: Dfa) -> tuple[Dfa, list[int]]:
         ids[q] = i
     k = dfa.alphabet_size
     cols = [array("I", [ids[dfa.delta[q][c]] for q in order]) for c in range(k)]
-    finals = {ids[q] for q in dfa.finals if ids[q] >= 0}
+    accepting = bytes(q in dfa.finals for q in order)  # by position in order
+    del order, ids  # the rounds read only the columns and the flags
 
-    block = [int(q in finals) for q in range(len(order))]
+    block = list(accepting)
     count = len(set(block))
     while True:
         sigs = zip(block, *(map(block.__getitem__, col) for col in cols))
@@ -230,7 +231,7 @@ def _refine(dfa: Dfa) -> tuple[Dfa, list[int]]:
     for q, b in enumerate(block):
         reps[b] = q
     new_delta = tuple(tuple(block[col[q]] for col in cols) for q in reps)
-    new_finals = frozenset(b for b, q in enumerate(reps) if q in finals)
+    new_finals = frozenset(b for b, q in enumerate(reps) if accepting[q])
     dead = next((b for b, row in enumerate(new_delta)
                  if b not in new_finals and all(r == b for r in row)), None)
     return Dfa(k, new_delta, 0, new_finals, dead), block
@@ -354,12 +355,13 @@ def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Df
     some machine to its dead state leads to the sink, state 1, the dead
     state.  A state is one int, the machines' states in mixed radix
     (`_packed`)."""
-    return _product(machines, state_budget)[0]
+    flat, flags = _product(machines, state_budget)[:2]
+    return _machine(machines[0].alphabet_size, flat, flags)
 
 
 def _product(machines: list[Dfa], state_budget: int):
-    """`product`'s machine, its packed states as `_explore` lists them,
-    and the packing's weights."""
+    """`product`'s rows, flags and packed states as `_explore` returns
+    them, and the packing's weights."""
     weights, step = _packed(machines)
     checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)]
 
@@ -367,9 +369,8 @@ def _product(machines: list[Dfa], state_budget: int):
         return all(x // w % n in finals for w, n, finals in checks)
 
     start = sum(a.initial * w for a, w in zip(machines, weights))
-    k = machines[0].alphabet_size
-    flat, flags, states = _explore(start, step, accepts, k, state_budget)
-    return _machine(k, flat, flags), states, weights
+    return (*_explore(start, step, accepts, machines[0].alphabet_size,
+                      state_budget), weights)
 
 
 def _transformations(a: Dfa, state_budget: int):
@@ -402,21 +403,22 @@ def _bitmask(bits: list[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _reach(a: Dfa, guide: Dfa) -> dict[int, int]:
-    """reach[x * G + g], for G the guide's states: the bitmask of the
-    states other than dead that x reaches while the guide stays off its
-    dead state from g, over the pairs reachable from some (q0, g) with g
-    not dead, by sweeps in reverse discovery order until one changes
-    nothing."""
-    G, dead, q0, g_dead = guide.num_states, a.dead, a.initial, guide.dead
-    pairs = [q0 * G + g for g in range(G) if g != g_dead]
+def _reach(flat: array, k: int, guide: Dfa) -> dict[int, int]:
+    """reach[x * G + g], for G the guide's states and x a state of the
+    machine whose rows `_explore` gave as flat, with start 0 and dead
+    state 1: the bitmask of the states other than dead that x reaches
+    while the guide stays off its dead state from g, over the pairs
+    reachable from some (0, g) with g not dead, by sweeps in reverse
+    discovery order until one changes nothing."""
+    G, g_dead = guide.num_states, guide.dead
+    pairs = [g for g in range(G) if g != g_dead]
     index = {p: i for i, p in enumerate(pairs)}
     succs: list[list[int]] = []
     for p in pairs:  # grows as pairs are found
         x, g = divmod(p, G)
         out = []
-        for y, h in zip(a.delta[x], guide.delta[g]):
-            if y != dead and h != g_dead:
+        for y, h in zip(flat[x * k:(x + 1) * k], guide.delta[g]):
+            if y != 1 and h != g_dead:
                 key = y * G + h
                 if key not in index:
                     index[key] = len(pairs)
@@ -512,12 +514,13 @@ def rotation_closure(
         if m.finals != frozenset(range(m.num_states)) - {m.dead}:
             raise InputError("rotation_closure needs machines and a guide whose "
                              "only rejecting state is their dead state")
-    a, states, weights = _product(machines, state_budget)
-    dead, q0 = a.dead, a.initial
-    cols = [array("I", [row[c] for row in a.delta]) for c in range(k)]
+    rows, flags, states, weights = _product(machines, state_budget)
+    del flags  # every state of a but its dead one accepts
+    dead, q0 = 1, 0  # as `_explore` numbers the states of a
+    cols = [rows[c::k] for c in range(k)]
     G, g_dead = guide.num_states, guide.dead
-    reach = _reach(a, guide)
-    del a  # the columns and the reach table are all the search reads of it
+    reach = _reach(rows, k, guide)
+    del rows  # the columns and the reach table are all the search reads of a
 
     # per machine: its transformations with their images in one flat
     # array, the bitmask per state of the states of a with that component,
@@ -544,20 +547,21 @@ def rotation_closure(
             flat.frombytes(t or bytes(flat.itemsize * n))
         t_machines.append(tm)
         t_tables.append((n, flat, parts, alive))
-    del states, images
+    del states, images, members
     # T is packed as `product` packs the transformation machines' states
     t_weights, next_t = _packed(t_machines)
     per_machine = [(w, tm.num_states, *tables, m.initial, v)
                    for w, tm, tables, m, v
                    in zip(t_weights, t_machines, t_tables, machines, weights)]
-    del t_machines, t_tables
+    del t_machines, t_tables, tm
 
     s_masks: list[int] = []
     s_ids: dict[int, int] = {}
     t_class: dict[int, int] = {}  # packed T -> id of its class
     reps: list[int] = []  # class id -> the first packed T found in it
     rep_alive: list[int] = []  # class id -> S id of alive(T)
-    by_head: dict[int, list[int]] = {}  # T(q0), packed -> class ids
+    by_head: dict[int, int] = {}  # T(q0), packed -> newest class id
+    older = array("i")  # class id -> the class before it with its head, or -1
 
     def same_on(t: int, u: int, mask: int) -> bool:
         """Whether packed T t and u map the states of a in mask alike: each
@@ -585,14 +589,19 @@ def rotation_closure(
             sid = s_ids.setdefault(mask, len(s_masks))
             if sid == len(s_masks):
                 s_masks.append(mask)
-            group = by_head.setdefault(head, [])
-            tid = next((u for u in group if rep_alive[u] == sid
-                        and same_on(t, reps[u], mask)), None)
-            if tid is None:
+            # at most one class matches, so the scan may go newest first:
+            # same_on on one mask is an equivalence, and each class's first
+            # T was checked against every earlier class with its head and S
+            newest = tid = by_head.get(head, -1)
+            while tid >= 0 and not (rep_alive[tid] == sid
+                                    and same_on(t, reps[tid], mask)):
+                tid = older[tid]
+            if tid < 0:
                 tid = len(reps)
                 reps.append(t)
                 rep_alive.append(sid)
-                group.append(tid)
+                older.append(newest)
+                by_head[head] = tid
             t_class[t] = tid
         return tid
 
@@ -633,8 +642,13 @@ def rotation_closure(
                                          for i in range(2, len(flat), 2))
 
     t0 = class_of(0)
-    return explore(pack(t0, guide.initial, {q0: rep_alive[t0]}), step,
-                   accepts, k, state_budget)
+    rows, flags, states = _explore(pack(t0, guide.initial, {q0: rep_alive[t0]}),
+                                   step, accepts, k, state_budget)
+    # the search and every table it read go before the machine is made
+    del states, step, accepts, class_of, same_on, pack, next_t
+    del per_machine, flat, parts, alive, cols, reach
+    del s_masks, s_ids, t_class, reps, rep_alive, by_head, older
+    return _machine(k, rows, flags)
 
 
 def difference_witness(a: Dfa, b: Dfa) -> Word | None:

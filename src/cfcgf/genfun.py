@@ -175,21 +175,27 @@ def _certified(den: tuple[int, ...], v0: list[int], step, k: int) -> bool:
     return not any(z)
 
 
-def counted_genfun(a: fsa.Dfa) -> tuple[list[int], RationalGF]:
+def counted_genfun(a: fsa.Dfa, n_max: int | None = None
+                   ) -> tuple[list[int], RationalGF | None]:
     """Counts s_0..s_k of a's words by length and their P/Q by to_rational,
     for k = 64, 128, ... up to 2l+2 for the l live states of `_walk`,
     counting on from the last vector.  Below that cap P/Q must be
     `_certified`, and is then minimal: its order, one prime's, is at most
     the series' own.  At the cap, 2l terms fix a recurrence of order at
-    most l (Cayley-Hamilton)."""
+    most l (Cayley-Hamilton).  Given n_max, counting stops at s_n_max if
+    no P/Q is found before, and then the P/Q returned is None."""
     v0, step, live = _walk(a)
     cap = 2 * live + 2
     vec, seq, k = v0, [sum(v0[q] for q in a.finals)], 64
     while True:
         k = min(k, cap)
+        if n_max is not None:
+            k = min(k, n_max)
         for _ in range(len(seq), k + 1):
             vec = step(vec)
             seq.append(sum(vec[q] for q in a.finals))
+        if k == n_max:
+            return seq, None
         try:
             gf = to_rational(seq)
         except InternalError:

@@ -131,6 +131,35 @@ def test_cfc_stage_machines_frozen(name):
     assert hashlib.sha256(to_json(a, system.names).encode()).hexdigest() == digest
 
 
+# no preset's pipeline merges two packed Ts into one T class, so only
+# these systems, two of 150 seeded random ones, test that merge: 595
+# packed Ts fall into 584 classes, and 152 into 146.  For each, as in
+# BUILD_CENSUS, the raw pipeline then the raw cfc-stage machine
+MERGE_CENSUS = {
+    '[[1, 6, 2, 5], [6, 1, "inf", 4], [2, "inf", 1, "inf"], [5, 4, "inf", 1]]':
+        ((709, 709, 551),
+         "76f99a64f3038f7adcc621d97171614415e89a2b20d2ae52a26c3ec06195d5d2",
+         (625, 625, 576),
+         "0810688e17677f4cd34d0a2dc3b29035b663a07f322395792fcd1d18d5fb0f19"),
+    '[[1, 4, 2, 3], [4, 1, "inf", "inf"], [2, "inf", 1, "inf"], [3, "inf", "inf", 1]]':
+        ((181, 181, 130),
+         "9cec923caee566d64158a3f52750b1cd87c5dae953c30c1454c96cc5872e5044",
+         (168, 168, 143),
+         "48e80421f05acff708afa9e396a29c667a09838f37c67639b763b1dde587d855"),
+}
+
+
+@pytest.mark.parametrize("matrix", MERGE_CENSUS)
+def test_machines_that_merge_t_classes_frozen(matrix):
+    pipeline_counts, pipeline_digest, cfc_counts, cfc_digest = MERGE_CENSUS[matrix]
+    system = parse_system(f'{{"matrix": {matrix}}}')
+    for stage, counts, digest in [("pipeline", pipeline_counts, pipeline_digest),
+                                  ("cfc", cfc_counts, cfc_digest)]:
+        a = build(system, stage)
+        assert fsa.state_counts(a) == counts, stage
+        assert hashlib.sha256(to_json(a, system.names).encode()).hexdigest() == digest
+
+
 def test_builds_are_reproducible():
     a = build(preset_system("B3"))
     b = build(preset_system("B3"))

@@ -505,6 +505,16 @@ def test_series_per_expression_counts_words(capsys):
     assert json.loads(out) == {"coeffs": ["1", "2", "2", "0", "0"]}
 
 
+def test_series_past_a_certified_pq_is_the_direct_count(capsys):
+    # tA5's cfc stage certifies its P/Q on 65 counted terms; the other
+    # 236 come from its expansion
+    a = cfc_automaton.build(preset_system("tA5"), "cfc")
+    code, out, _ = run(capsys, "series", "--system", "tA5", "--max-len", "300",
+                       "--per-expression")
+    assert code == 0
+    assert json.loads(out) == {"coeffs": [str(c) for c in count_by_length(a, 300)]}
+
+
 def test_genfun_prints_rational_form(capsys):
     code, out, _ = run(capsys, "genfun", "--system", "tA1")
     assert code == 0

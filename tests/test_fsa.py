@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 import re
+import types
 from itertools import product
 
 import pytest
@@ -286,6 +288,29 @@ def test_rotation_closure_needs_a_prefix_closed_machine():
     with pytest.raises(InputError, match="cannot guide over a different alphabet"):
         rotation_closure([Dfa(2, ((0, 0),), 0, frozenset({0}))],
                          Dfa(3, ((0, 0, 0),), 0, frozenset({0})))
+
+
+
+def test_no_closure_table_outlives_the_search(monkeypatch):
+    # the functions rotation_closure defines hold its tables: none may be
+    # alive while any machine is assembled, its own one included
+    def closure_functions():
+        return [f.__qualname__ for f in gc.get_objects()
+                if isinstance(f, types.FunctionType) and f.__module__ == "cfcgf.fsa"
+                and f.__qualname__.startswith("rotation_closure.<locals>")]
+
+    alive = []
+    machine = fsa._machine
+
+    def checked(*args):
+        alive.append(closure_functions())
+        return machine(*args)
+
+    gc.collect()  # leftovers of earlier tests
+    monkeypatch.setattr(fsa, "_machine", checked)
+    a = cfc_automaton.build(parse_system("tA3"), "pipeline")
+    assert a.num_states == 112  # the closure's machine, the last one made
+    assert len(alive) > 1 and not any(alive), alive
 
 
 def test_dot_output():

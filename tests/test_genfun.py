@@ -252,6 +252,16 @@ PER_EXPRESSION_GFS = {
 }
 
 
+def test_counting_stops_at_n_max_or_at_a_certified_pq():
+    # tA5's cfc stage certifies its P/Q on the first 65 terms
+    a = cfc_automaton.build(preset_system("tA5"), "cfc")
+    seq, gf = counted_genfun(a)
+    assert len(seq) == 65
+    assert counted_genfun(a, 40) == (seq[:41], None)
+    assert counted_genfun(a, 64) == (seq, None)
+    assert counted_genfun(a, 300) == (seq, gf)
+
+
 @pytest.mark.parametrize("name", sorted(PER_EXPRESSION_GFS))
 def test_per_expression_generating_functions_frozen(name):
     gf = counted_genfun(cfc_automaton.build(preset_system(name), "cfc"))[1]
