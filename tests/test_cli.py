@@ -119,18 +119,43 @@ def test_verify_reports_a_mismatch_with_equal_counts(capsys, monkeypatch):
 
 
 VERIFY_ALL_WORDS = """
+from array import array
 from cfcgf import cfc_automaton, fsa
 from cfcgf.cli import verify
 from cfcgf.core import preset_system
 
 system = preset_system("tA3")
 a = cfc_automaton.build(system, "pipeline")
-# the pipeline's words plus every word of length 10
-machine = fsa.explore(
-    (a.initial, 0), lambda q, c: (a.delta[q[0]][c], min(q[1] + 1, 11)),
-    lambda q: q[0] in a.finals or q[1] == 10, a.alphabet_size, 10**6)
+
+def step(key, c):
+    q, n = array("I", key)
+    return array("I", [a.delta[q][c], min(n + 1, 11)]).tobytes()
+
+def accepts(key):
+    q, n = array("I", key)
+    return q in a.finals or n == 10
+
+# the pipeline's words plus every word of length 10, a state being the
+# pipeline's state and the length read so far, capped at 11
+machine = fsa.explore(array("I", [a.initial, 0]).tobytes(), step, accepts,
+                      a.alphabet_size, 10**6)
 print(verify(system, machine, 10))
 """
+
+
+def test_machines_do_not_depend_on_string_hashing():
+    # the searches find states again through tables probed by hash(); the
+    # states must still be numbered in the order they are found
+    outputs = []
+    for seed in ("0", "12345"):
+        done = subprocess.run(
+            [sys.executable, "-m", "cfcgf.cli", "automaton", "--stage", "pipeline",
+             "--system", "tA5"],
+            capture_output=True, env=dict(child_env(), PYTHONHASHSEED=seed), timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["states"] == 992
 
 
 def test_verify_mismatch_on_a_huge_language_fits_in_256_mb():

@@ -3,7 +3,10 @@ from __future__ import annotations
 import gc
 import json
 import pickle
+import random
 import re
+import sys
+import tracemalloc
 import types
 from itertools import product
 
@@ -107,18 +110,18 @@ def test_accepts():
 
 
 def explore_short_words(log: list, state_budget: int = 10) -> Dfa:
-    """The words of length at most 2 over {0, 1} as states, the longer
-    ones in the sink; the words of length 1 accept.  log records each
-    call to accepts and step."""
+    """The words of length at most 2 over {0, 1} as states, one byte per
+    letter, the longer ones in the sink; the words of length 1 accept.
+    log records each call to accepts and step."""
     def step(q, c):
         log.append(("step", q, c))
-        return q + (c,) if len(q) < 2 else None
+        return q + bytes([c]) if len(q) < 2 else None
 
     def accepts(q):
         log.append(("accepts", q))
         return len(q) == 1
 
-    return fsa.explore((), step, accepts, 2, state_budget)
+    return fsa.explore(b"", step, accepts, 2, state_budget)
 
 
 def test_explore_numbers_states_in_discovery_order():
@@ -129,7 +132,7 @@ def test_explore_numbers_states_in_discovery_order():
     assert a == Dfa(2, rows, 0, frozenset({2, 3}), 1)
     # accepts is asked once of each found state, as it is expanded, and
     # never of the sink
-    found = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    found = [b"", b"\0", b"\1", b"\0\0", b"\0\1", b"\1\0", b"\1\1"]
     assert log == [e for q in found for e in [("accepts", q), ("step", q, 0),
                                                ("step", q, 1)]]
 
@@ -143,19 +146,140 @@ def test_explore_budget_counts_the_sink():
 
 def test_explore_without_letters_gives_the_start_and_the_sink():
     asked = []
-    a = fsa.explore("q", None, lambda q: asked.append(q) or True, 0, 2)
+    a = fsa.explore(b"q", None, lambda q: asked.append(q) or True, 0, 2)
     assert a == Dfa(0, ((), ()), 0, frozenset({0}), 1)
-    assert asked == ["q"]
+    assert asked == [b"q"]
+
+
+def test_explore_takes_only_bytes_states():
+    for start in [(), 5, "q", bytearray(b"q")]:
+        with pytest.raises(TypeError):
+            fsa.explore(start, None, lambda q: True, 0, 2)
+    with pytest.raises(TypeError):  # a step to a tuple
+        fsa.explore(b"", lambda q, c: (c,), lambda q: True, 1, 10)
 
 
 def test_explore_rows_share_one_int_per_state_id():
     # ids past 256 are not cached by the interpreter: a table that held a
     # new int for every entry would take far more memory
-    a = fsa.explore(0, lambda q, c: (q + 1 + c * 7) % 300, lambda q: q % 2 == 0,
-                    2, 1000)
+    def step(q, c):
+        return ((int.from_bytes(q, "little") + 1 + c * 7) % 300).to_bytes(2, "little")
+
+    a = fsa.explore(bytes(2), step, lambda q: q[0] % 2 == 0, 2, 1000)
     assert a.num_states == 301
     entries = [r for row in a.delta for r in row] + list(a.finals)
     assert len({id(r) for r in entries}) == len(set(entries)) == a.num_states
+
+
+def dict_explore(start, step, accepts, k):
+    """`fsa._explore`'s rows, flags and states by a plain breadth-first
+    search with a dict of found states, the sink as None."""
+    states, ids, rows, flags = [start, None], {start: 0}, [], []
+    for q in states:
+        if q is None:
+            rows += [1] * k
+            flags.append(0)
+            continue
+        flags.append(int(bool(accepts(q))))
+        for c in range(k):
+            r = step(q, c)
+            if r is not None and r not in ids:
+                ids[r] = len(states)
+                states.append(r)
+            rows.append(1 if r is None else ids[r])
+    return rows, flags, states
+
+
+def assert_explores_as_a_dict_search(keys, succ, accepting):
+    """_explore over states keys, where keys[i] goes to keys[succ[i][c]] on
+    letter c, or to the sink where that is None, and accepts iff
+    accepting[i], finds what dict_explore finds."""
+    index = {q: i for i, q in enumerate(keys)}
+    k = len(succ[0])
+
+    def step(q, c):
+        j = succ[index[q]][c]
+        return None if j is None else keys[j]
+
+    def accepts(q):
+        return accepting[index[q]]
+
+    rows, flags, states = dict_explore(keys[0], step, accepts, k)
+    flat, got_flags, pool, offs = fsa._explore(keys[0], step, accepts, k, 10**6)
+    assert list(flat) == rows
+    assert list(got_flags) == flags
+    # the sink holds zeros as wide as the start
+    states[1] = bytes(len(keys[0]))
+    assert [pool[offs[i]:offs[i + 1]] for i in range(len(offs) - 1)] == states
+    assert len(pool) == offs[-1]
+
+
+@st.composite
+def searches(draw):
+    """Distinct bytes states, of any length from 0, with a successor or
+    None per letter and a flag each."""
+    keys = draw(st.lists(st.binary(max_size=9), min_size=1, max_size=60,
+                         unique=True))
+    k = draw(st.integers(1, 4))
+    targets = st.none() | st.integers(0, len(keys) - 1)
+    succ = draw(st.lists(st.lists(targets, min_size=k, max_size=k),
+                         min_size=len(keys), max_size=len(keys)))
+    accepting = draw(st.lists(st.booleans(), min_size=len(keys),
+                              max_size=len(keys)))
+    return keys, succ, accepting
+
+
+@given(searches())
+@settings(max_examples=150, deadline=None)
+# every length from 0 to 9, each key a prefix of the longer ones, with
+# the start's bytes those of the sink; then the empty key as the start
+@example(([b"\0"] + [bytes(n) for n in range(10) if n != 1],
+          [[(i + 1) % 10, i // 2] for i in range(10)], [i % 3 == 0 for i in range(10)]))
+@example(([b"", b"\0", b"\0\0", b"ab", b"a"],
+          [[1, 2], [3, None], [4, 0], [None, None], [2, 4]],
+          [True, False, True, False, True]))
+# the sink's bytes, b"\0", are a state's, found again after the table grew
+@example(([b"a", b"\0", b"", b"\0\0", b"ab", b"b"],
+          [[1, 2], [3, 4], [1, 5], [None, 0], [5, 1], [None, None]],
+          [True, False, True, False, True, False]))
+def test_explore_finds_what_a_dict_search_finds(search):
+    assert_explores_as_a_dict_search(*search)
+
+
+def test_explore_matches_a_dict_search_on_12000_states():
+    # enough states for the table of ids to grow twelve times; the keys
+    # have every length from 0 to 12, the empty one among them
+    rng = random.Random(20241020)
+    keys = list(dict.fromkeys(
+        [b""] + [rng.randbytes(rng.randint(1, 12)) for _ in range(12500)]))[:12000]
+    succ = [[rng.choice([None, *rng.choices(range(len(keys)), k=6)])
+             for _ in range(3)] for _ in keys]
+    for i in range(len(keys) - 1):  # every key is found
+        succ[i][0] = i + 1
+    accepting = [rng.random() < 0.5 for _ in keys]
+    assert {len(q) for q in keys} == set(range(13))
+    assert_explores_as_a_dict_search(keys, succ, accepting)
+
+
+def test_explore_keeps_under_100_bytes_per_state_beyond_its_rows():
+    # a dict registry of bytes keys, with an int per id and a list of the
+    # states, took about 139 bytes per state here, the keys included
+    size = 20_000
+
+    def step(q, c):
+        return ((int.from_bytes(q, "little") * 2 + 1 + c) % size).to_bytes(40, "little")
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        flat, flags = fsa._explore(bytes(40), step, lambda q: q[0] & 1, 2, 10**6)[:2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flags) == size + 1  # the states and the sink
+    beyond = peak - before - sys.getsizeof(flat) - sys.getsizeof(flags)
+    assert beyond / size < 100
 
 
 def test_intersect_matches_conjunction():
