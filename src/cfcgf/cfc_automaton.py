@@ -23,7 +23,6 @@ Both are exact by construction, and each checks the other.
 
 from __future__ import annotations
 
-from array import array
 from typing import NamedTuple
 
 from . import fsa, lexnf
@@ -83,13 +82,9 @@ def _letter_step(system: CoxeterSystem, s: int, legal: int, c: int) -> int | Non
 
 def letter_factor(system: CoxeterSystem, s: int,
                   state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
-    """The words that never read s where it is not legal; 3 states.  A
-    state is whether s is legal, as one byte."""
-    def step(key: bytes, c: int) -> bytes | None:
-        legal = _letter_step(system, s, key[0], c)
-        return None if legal is None else bytes([legal])
-
-    return fsa.explore(bytes([1]), step, lambda q: True, system.rank, state_budget)
+    """The words that never read s where it is not legal; 3 states."""
+    return fsa.explore(1, lambda q, c: _letter_step(system, s, q, c),
+                       lambda q: True, system.rank, state_budget)
 
 
 def _pair_step(
@@ -114,21 +109,9 @@ def _pair_step(
 def pair_factor(system: CoxeterSystem, pair: TrackedPair,
                 state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """The words none of whose class holds a braid of pair or repeats the
-    chain's last letter.  A state is the bytes of an array("i") of the
-    chain's last letter and length and the watch mask's bits for s and t,
-    the only letters it can hold."""
-    def encode(q: PairState) -> bytes:
-        (last, n), watch = q
-        return array("i", [last, n, watch >> pair.s & 1,
-                           watch >> pair.t & 1]).tobytes()
-
-    def step(key: bytes, c: int) -> bytes | None:
-        last, n, on_s, on_t = array("i", key)
-        q = _pair_step(system, pair, ((last, n), on_s << pair.s | on_t << pair.t), c)
-        return None if q is None else encode(q)
-
-    return fsa.explore(encode((EMPTY_CHAIN, 0)), step, lambda q: True, system.rank,
-                       state_budget)
+    chain's last letter."""
+    return fsa.explore((EMPTY_CHAIN, 0), lambda q, c: _pair_step(system, pair, q, c),
+                       lambda q: True, system.rank, state_budget)
 
 
 def factors(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:

@@ -119,24 +119,20 @@ def verify(
         system, max_len, kind="cfc", budget=class_budget, witnesses=True
     )
     assert report.witnesses is not None
-    # each word as the bytes of its letters, which the rank cap keeps
-    # below 256
-    words = {bytes(w) for ws in report.witnesses.values() for w in ws}
+    words = {w for ws in report.witnesses.values() for w in ws}
     prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
-    letters = [bytes([c]) for c in system.generators]
 
-    def step(p: bytes, c: int) -> bytes | None:
-        q = p + letters[c]
-        return q if q in prefixes else None
+    def step(p: fsa.Word, c: int) -> fsa.Word | None:
+        return p + (c,) if p + (c,) in prefixes else None
 
     # the prefix trie of words: one state per prefix, the rest in the sink
-    trie = fsa.explore(b"", step, words.__contains__, system.rank,
+    trie = fsa.explore((), step, words.__contains__, system.rank,
                        len(prefixes) + 1)
     witness = fsa.difference_witness(dfa, trie)
     if witness is None or len(witness) > max_len:
         return None
     k = len(witness)
-    side = "oracle only" if bytes(witness) in words else "automaton only"
+    side = "oracle only" if witness in words else "automaton only"
     got = genfun.count_by_length(dfa, k)[k]
     return k, got, report.counts()[k], witness, side
 

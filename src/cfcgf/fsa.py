@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import deque
-from itertools import compress, count
+from itertools import compress
 
 from .errors import BudgetError, InputError
 from .value import Value
@@ -266,87 +266,48 @@ def state_counts(dfa: Dfa) -> tuple[int, int, int]:
 DEFAULT_STATE_BUDGET = 10**7
 
 
-def explore(start: bytes, step, accepts, alphabet_size: int,
-            state_budget: int) -> Dfa:
+def explore(start, step, accepts, alphabet_size: int, state_budget: int) -> Dfa:
     """The machine of the breadth-first closure of step from start, where
     step(q, c) is the successor of state q on letter c < alphabet_size, or
-    None for the sink.  A state is a bytes object, and two states are one
-    iff their bytes are equal: step is given and returns bytes, and
-    accepts is given bytes.  Its states are numbered in discovery order
-    with the start at 0 and the sink at 1, its dead state; a found state q
-    accepts iff accepts(q), asked once, when q is expanded.  At most
-    state_budget states are allowed, the sink included."""
+    None for the sink.  A state is any hashable value but None, and two
+    states are one iff they are equal: an unhashable one raises TypeError.
+    Its states are numbered in discovery order with the start at 0 and the
+    sink at 1, its dead state, so no machine depends on how states hash; a
+    found state q accepts iff accepts(q), asked once, when q is expanded.
+    At most state_budget states are allowed, the sink included."""
     flat, flags = _explore(start, step, accepts, alphabet_size, state_budget)[:2]
     return _machine(alphabet_size, flat, flags)
 
 
-def _explore(start: bytes, step, accepts, alphabet_size: int, state_budget: int):
+def _explore(start, step, accepts, alphabet_size: int, state_budget: int):
     """`explore`'s rows as one flat array, state by state, its acceptance
-    flags, and its states as one pool of bytes with their offsets: state
-    i is pool[offs[i]:offs[i + 1]].  The sink, 1, holds as many zero bytes
-    as the start, so states that all have the start's width lie at a
-    fixed stride.  The states are found again through an open-addressing
-    table of their ids, probed linearly from hash(state) and kept at most
-    half full, which holds no object per state; the sink is never in it.
-    The table is gone on return."""
+    flags, and its states, numbered as the machine numbers them, with
+    None for the sink.  The registry of found states is gone on return."""
     if state_budget < 2:  # the start and the sink
         raise BudgetError(f"state budget {state_budget} exceeded while building")
-    pool = bytearray(start + bytes(len(start)))  # the start, then the sink
-    offs = array("I", [0, len(start), len(pool)])
-    found = 2
-    mask = 7
-    table = array("i", [-1]) * (mask + 1)
-    table[hash(start) & mask] = 0
+    states = [start, None]
+    numbered = {start: 0}
     flat = array("I")
-    append = flat.append
     flags = bytearray()
-    for q in count():
-        if q == found:
-            return flat, flags, pool, offs
-        if q == 1:
+    for q in states:  # grows as states are found
+        if q is None:
             flat.extend([1] * alphabet_size)
             flags.append(0)
             continue
-        key = bytes(pool[offs[q]:offs[q + 1]])
-        flags.append(bool(accepts(key)))
+        flags.append(bool(accepts(q)))
         for c in range(alphabet_size):
-            r = step(key, c)
-            if r is None:
-                append(1)
-                continue
-            i = hash(r) & mask
-            rid = table[i]
-            while rid >= 0:
-                if pool[offs[rid]:offs[rid + 1]] == r:
-                    break
-                i = (i + 1) & mask
-                rid = table[i]
-            else:
-                rid = found
+            r = step(q, c)
+            rid = 1 if r is None else numbered.get(r)
+            if rid is None:
+                rid = len(states)
                 if rid >= state_budget:
                     raise BudgetError(
                         f"state budget {state_budget} exceeded while building"
                     )
-                table[i] = rid
-                pool += r
-                offs.append(len(pool))
-                found += 1
-                if 2 * found > mask:
-                    mask = 2 * mask + 1
-                    table = _table(pool, offs, mask)
-            append(rid)
-
-
-def _table(pool: bytearray, offs: array, mask: int) -> array:
-    """`_explore`'s table of the states in pool, with mask + 1 slots."""
-    table = array("i", [-1]) * (mask + 1)
-    for q in range(len(offs) - 1):
-        if q != 1:  # the sink
-            i = hash(bytes(pool[offs[q]:offs[q + 1]])) & mask
-            while table[i] >= 0:
-                i = (i + 1) & mask
-            table[i] = q
-    return table
+                numbered[r] = rid
+                states.append(r)
+            flat.append(rid)
+    return flat, flags, states
 
 
 def _machine(alphabet_size: int, flat: array, flags: bytearray) -> Dfa:
@@ -396,40 +357,31 @@ def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Df
     machines over one alphabet, built by `explore`, so a letter that takes
     some machine to its dead state leads to the sink, state 1, the dead
     state.  A state is one int, the machines' states in mixed radix
-    (`_packed`), as the bytes of its fixed width."""
+    (`_packed`)."""
     flat, flags = _product(machines, state_budget)[:2]
     return _machine(machines[0].alphabet_size, flat, flags)
 
 
 def _product(machines: list[Dfa], state_budget: int):
-    """`product`'s rows, flags, pool and offsets as `_explore` returns
-    them, and the packing's weights and width: state x is packed as
-    pool[x * width:(x + 1) * width]."""
+    """`product`'s rows, flags and packed states as `_explore` returns
+    them, and the packing's weights."""
     weights, step = _packed(machines)
-    width = ((weights[-1] * machines[-1].num_states - 1).bit_length() + 7) // 8
     checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)]
 
-    def key_step(key: bytes, c: int) -> bytes | None:
-        x = step(int.from_bytes(key, "little"), c)
-        return None if x is None else x.to_bytes(width, "little")
-
-    def accepts(key: bytes) -> bool:
-        x = int.from_bytes(key, "little")
+    def accepts(x: int) -> bool:
         return all(x // w % n in finals for w, n, finals in checks)
 
     start = sum(a.initial * w for a, w in zip(machines, weights))
-    return (*_explore(start.to_bytes(width, "little"), key_step, accepts,
-                      machines[0].alphabet_size, state_budget), weights, width)
+    return (*_explore(start, step, accepts, machines[0].alphabet_size,
+                      state_budget), weights)
 
 
 def _transformations(a: Dfa, state_budget: int):
     """The machine of the transformations x -> delta(x, w) of a's states,
     built by `_explore` from the identity: T goes to T.c on letter c, or
-    to the sink once T(q0) is dead.  A state is T as the bytes of an
-    array("I") of its images, so the pool that comes with the machine is
-    the table of images: read as an array("I"), its entry T * n + y is
-    the image of y under T, for n the states of a, and the sink's images
-    are zeros."""
+    to the sink once T(q0) is dead.  Its states, each T as the bytes of
+    an array("I") of its images, come with it: packed, a step thrown away
+    as a duplicate leaves no tuple behind in the interpreter's free lists."""
     cols = [[row[c] for row in a.delta] for c in range(a.alphabet_size)]
     q0, dead = a.initial, a.dead
 
@@ -441,9 +393,9 @@ def _transformations(a: Dfa, state_budget: int):
         return array("I", map(col.__getitem__, images)).tobytes()
 
     k = a.alphabet_size
-    flat, flags, pool = _explore(array("I", range(a.num_states)).tobytes(),
-                                 step, lambda t: True, k, state_budget)[:3]
-    return _machine(k, flat, flags), pool
+    flat, flags, states = _explore(array("I", range(a.num_states)).tobytes(),
+                                   step, lambda t: True, k, state_budget)
+    return _machine(k, flat, flags), states
 
 
 def _bitmask(bits: list[int], size: int) -> int:
@@ -565,8 +517,7 @@ def rotation_closure(
         if m.finals != frozenset(range(m.num_states)) - {m.dead}:
             raise InputError("rotation_closure needs machines and a guide whose "
                              "only rejecting state is their dead state")
-    rows, flags, a_states, _, weights, width = _product(machines, state_budget)
-    size = len(flags)
+    rows, flags, states, weights = _product(machines, state_budget)
     del flags  # every state of a but its dead one accepts
     dead, q0 = 1, 0  # as `_explore` numbers the states of a
     cols = [rows[c::k] for c in range(k)]
@@ -575,33 +526,31 @@ def rotation_closure(
     del rows  # the columns and the reach table are all the search reads of a
 
     # per machine: its transformations with their images in one flat
-    # table, the bitmask per state of the states of a with that component,
+    # array, the bitmask per state of the states of a with that component,
     # and per transformation the union of those of the states it keeps
     # alive
-    packed = [int.from_bytes(a_states[x * width:(x + 1) * width], "little")
-              for x in range(size)]
-    del a_states
     t_machines = []
     t_tables = []
     for m, w in zip(machines, weights):
-        tm, t_states = _transformations(m, state_budget)
+        tm, images = _transformations(m, state_budget)
         n = m.num_states
         members: list[list[int]] = [[] for _ in range(n)]
-        for x, p in enumerate(packed):
-            if x != dead:
+        for x, p in enumerate(states):
+            if p is not None:
                 members[p // w % n].append(x)
-        parts = [_bitmask(xs, size) for xs in members]
-        # transformation i maps state y to images[i * n + y]; the sink, zeros
-        images = memoryview(t_states).cast("I")
-        # the parts are disjoint, so their sum is their union; the sink,
-        # 1, keeps nothing alive
-        alive = [0 if i == 1
-                 else sum(p for p, y in zip(parts, images[i * n:(i + 1) * n])
+        parts = [_bitmask(xs, len(states)) for xs in members]
+        # the parts are disjoint, so their sum is their union
+        alive = [0 if t is None
+                 else sum(p for p, y in zip(parts, memoryview(t).cast("I"))
                           if y != m.dead)
-                 for i in range(tm.num_states)]
+                 for t in images]
+        # transformation i maps state y to flat[i * n + y]; the sink, zeros
+        flat = array("I")
+        for t in images:
+            flat.frombytes(t or bytes(flat.itemsize * n))
         t_machines.append(tm)
-        t_tables.append((n, images, parts, alive))
-    del packed, t_states, members
+        t_tables.append((n, flat, parts, alive))
+    del states, images, members
     # T is packed as `product` packs the transformation machines' states
     t_weights, next_t = _packed(t_machines)
     per_machine = [(w, tm.num_states, *tables, m.initial, v)
@@ -700,7 +649,7 @@ def rotation_closure(
                            step, accepts, k, state_budget)[:2]
     # the search and every table it read go before the machine is made
     del step, accepts, class_of, same_on, pack, next_t
-    del per_machine, images, parts, alive, cols, reach
+    del per_machine, flat, parts, alive, cols, reach
     del s_masks, s_ids, t_class, reps, rep_alive, by_head, older
     return _machine(k, rows, flags)
 

@@ -28,20 +28,17 @@ def build(system: CoxeterSystem, state_budget: int = DEFAULT_STATE_BUDGET) -> Df
     the least member of its commutation class and every class is hit
     exactly once.  A state is the bitmask of generators a whose suffix of
     letters commuting with a holds a letter larger than a, the empty mask
-    at the start, as little-endian bytes of one width.  State 0 is the
-    start, state 1 the dead state.  The machine has at most state_budget
-    states, the dead state included."""
+    at the start.  State 0 is the start, state 1 the dead state.  The
+    machine has at most state_budget states, the dead state included."""
     # reading c keeps the bits of the letters commuting with c and sets
     # those of the smaller ones
     keep = [sum(1 << a for a in system.generators if system.commutes(a, c))
             for c in system.generators]
     smaller = [keep[c] & ((1 << c) - 1) for c in system.generators]
-    width = (system.rank + 7) // 8
 
-    def step(key: bytes, c: int) -> bytes | None:
-        q = int.from_bytes(key, "little")
+    def step(q: int, c: int) -> int | None:
         if q >> c & 1:
             return None
-        return (q & keep[c] | smaller[c]).to_bytes(width, "little")
+        return q & keep[c] | smaller[c]
 
-    return explore(bytes(width), step, lambda q: True, system.rank, state_budget)
+    return explore(0, step, lambda q: True, system.rank, state_budget)

@@ -119,32 +119,22 @@ def test_verify_reports_a_mismatch_with_equal_counts(capsys, monkeypatch):
 
 
 VERIFY_ALL_WORDS = """
-from array import array
 from cfcgf import cfc_automaton, fsa
 from cfcgf.cli import verify
 from cfcgf.core import preset_system
 
 system = preset_system("tA3")
 a = cfc_automaton.build(system, "pipeline")
-
-def step(key, c):
-    q, n = array("I", key)
-    return array("I", [a.delta[q][c], min(n + 1, 11)]).tobytes()
-
-def accepts(key):
-    q, n = array("I", key)
-    return q in a.finals or n == 10
-
-# the pipeline's words plus every word of length 10, a state being the
-# pipeline's state and the length read so far, capped at 11
-machine = fsa.explore(array("I", [a.initial, 0]).tobytes(), step, accepts,
-                      a.alphabet_size, 10**6)
+# the pipeline's words plus every word of length 10
+machine = fsa.explore(
+    (a.initial, 0), lambda q, c: (a.delta[q[0]][c], min(q[1] + 1, 11)),
+    lambda q: q[0] in a.finals or q[1] == 10, a.alphabet_size, 10**6)
 print(verify(system, machine, 10))
 """
 
 
 def test_machines_do_not_depend_on_string_hashing():
-    # the searches find states again through tables probed by hash(); the
+    # the searches find states again through dicts, which hash them; the
     # states must still be numbered in the order they are found
     outputs = []
     for seed in ("0", "12345"):
