@@ -322,10 +322,10 @@ def _machine(alphabet_size: int, flat: array, flags: bytearray) -> Dfa:
 
 
 def _packed(machines: list[Dfa]):
-    """The weights and the step of the machines' states packed as one int
-    in mixed radix.  A letter steps only the machines on which it is not
-    the identity, and leads to None where it takes one to its dead
-    state."""
+    """The weights of the machines' states packed as one int in mixed
+    radix, and the packed start, step and acceptance.  A letter steps only
+    the machines on which it is not the identity, and leads to None where
+    it takes one to its dead state."""
     k = machines[0].alphabet_size
     if any(a.alphabet_size != k for a in machines):
         raise InputError("cannot intersect automata over different alphabets")
@@ -349,7 +349,13 @@ def _packed(machines: list[Dfa]):
             x += add
         return x
 
-    return weights, step
+    checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)]
+
+    def accepts(x: int) -> bool:
+        return all(x // w % n in finals for w, n, finals in checks)
+
+    start = sum(a.initial * w for a, w in zip(machines, weights))
+    return weights, start, step, accepts
 
 
 def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
@@ -358,22 +364,7 @@ def product(machines: list[Dfa], state_budget: int = DEFAULT_STATE_BUDGET) -> Df
     some machine to its dead state leads to the sink, state 1, the dead
     state.  A state is one int, the machines' states in mixed radix
     (`_packed`)."""
-    flat, flags = _product(machines, state_budget)[:2]
-    return _machine(machines[0].alphabet_size, flat, flags)
-
-
-def _product(machines: list[Dfa], state_budget: int):
-    """`product`'s rows, flags and packed states as `_explore` returns
-    them, and the packing's weights."""
-    weights, step = _packed(machines)
-    checks = [(w, a.num_states, a.finals) for a, w in zip(machines, weights)]
-
-    def accepts(x: int) -> bool:
-        return all(x // w % n in finals for w, n, finals in checks)
-
-    start = sum(a.initial * w for a, w in zip(machines, weights))
-    return (*_explore(start, step, accepts, machines[0].alphabet_size,
-                      state_budget), weights)
+    return explore(*_packed(machines)[1:], machines[0].alphabet_size, state_budget)
 
 
 def _transformations(a: Dfa, state_budget: int):
@@ -448,9 +439,22 @@ def rotation_closure(
 ) -> Dfa:
     """Automaton for {w : every rotation of w is in L(a)}, intersected with
     L(guide) when a guide is given, where a is the `product` of the
-    machines; only words the guide keeps are explored.  Each machine, and
-    the guide, must accept exactly the words that avoid its dead state, as
-    a prefix-closed machine does: every state but the dead one accepts.
+    machines: the search of `_closure`'s state space, numbered as
+    `explore` numbers states, with at most state_budget of them.  It runs
+    `_explore` and `_machine` itself so that the closure's step, accepts
+    and every table they hold are gone before the machine is assembled:
+    `explore`'s arguments would keep them alive until it returns."""
+    k = machines[0].alphabet_size
+    rows, flags = _explore(*_closure(machines, guide, state_budget),
+                           k, state_budget)[:2]
+    return _machine(k, rows, flags)
+
+
+def _closure(machines: list[Dfa], guide: Dfa | None, state_budget: int):
+    """The start, step and acceptance of `rotation_closure`'s states; only
+    words the guide keeps are explored.  Each machine, and the guide, must
+    accept exactly the words that avoid its dead state, as a prefix-closed
+    machine does: every state but the dead one accepts.
 
     A state is (T, M, g) for the word w read so far.  T is the
     transformation x -> delta(x, w) of the states of a, and alive(T) the
@@ -505,9 +509,8 @@ def rotation_closure(
     alive(T) and a digit to the packed T, so a machine whose language
     holds another's adds work and no states: leave it out, as
     `cfc_automaton.factors` leaves out the letter factors its pair
-    factors imply.  The states are numbered as
-    `explore` numbers them, with at most state_budget of them; a and each
-    transformation machine are built under that budget too."""
+    factors imply.  a and each transformation machine are built under
+    state_budget."""
     k = machines[0].alphabet_size
     if guide is None:
         guide = Dfa(k, ((0,) * k,), 0, frozenset({0}))
@@ -517,8 +520,9 @@ def rotation_closure(
         if m.finals != frozenset(range(m.num_states)) - {m.dead}:
             raise InputError("rotation_closure needs machines and a guide whose "
                              "only rejecting state is their dead state")
-    rows, flags, states, weights = _product(machines, state_budget)
-    del flags  # every state of a but its dead one accepts
+    weights, *search = _packed(machines)
+    # no flags: every state of a but its dead one accepts
+    rows, _, states = _explore(*search, k, state_budget)
     dead, q0 = 1, 0  # as `_explore` numbers the states of a
     cols = [rows[c::k] for c in range(k)]
     G, g_dead = guide.num_states, guide.dead
@@ -550,13 +554,11 @@ def rotation_closure(
             flat.frombytes(t or bytes(flat.itemsize * n))
         t_machines.append(tm)
         t_tables.append((n, flat, parts, alive))
-    del states, images, members
     # T is packed as `product` packs the transformation machines' states
-    t_weights, next_t = _packed(t_machines)
+    t_weights, _, next_t, _ = _packed(t_machines)
     per_machine = [(w, tm.num_states, *tables, m.initial, v)
                    for w, tm, tables, m, v
                    in zip(t_weights, t_machines, t_tables, machines, weights)]
-    del t_machines, t_tables, tm
 
     s_masks: list[int] = []
     s_ids: dict[int, int] = {}
@@ -645,13 +647,7 @@ def rotation_closure(
                                          for i in range(2, len(flat), 2))
 
     t0 = class_of(0)
-    rows, flags = _explore(pack(t0, guide.initial, {q0: rep_alive[t0]}),
-                           step, accepts, k, state_budget)[:2]
-    # the search and every table it read go before the machine is made
-    del step, accepts, class_of, same_on, pack, next_t
-    del per_machine, flat, parts, alive, cols, reach
-    del s_masks, s_ids, t_class, reps, rep_alive, by_head, older
-    return _machine(k, rows, flags)
+    return pack(t0, guide.initial, {q0: rep_alive[t0]}), step, accepts
 
 
 def difference_witness(a: Dfa, b: Dfa) -> Word | None:

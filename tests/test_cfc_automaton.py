@@ -3,6 +3,7 @@ elements, checked word-for-word against the brute-force oracle."""
 
 import functools
 import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -16,7 +17,14 @@ from cfcgf.cfc_automaton import (
     build,
     finite_pairs,
 )
-from cfcgf.core import CoxeterSystem, INF, cyclic_shifts, parse_system, preset_system
+from cfcgf.core import (
+    CoxeterSystem,
+    INF,
+    cyclic_shifts,
+    diagram,
+    parse_system,
+    preset_system,
+)
 from cfcgf.errors import BudgetError
 from cfcgf.genfun import RationalGF
 from cfcgf.oracle import count_elements, is_cfc, is_reduced_fc
@@ -158,6 +166,41 @@ def test_machines_that_merge_t_classes_frozen(matrix):
         a = build(system, stage)
         assert fsa.state_counts(a) == counts, stage
         assert hashlib.sha256(to_json(a, system.names).encode()).hexdigest() == digest
+
+
+def _random_system(rng):
+    rank = rng.randint(2, 4)
+    m = [[1] * rank for _ in range(rank)]
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            m[a][b] = m[b][a] = rng.choice([2, 2, 3, 3, 4, 5, 6, INF])
+    return CoxeterSystem(tuple(map(tuple, m)))
+
+
+RAW_PRESETS = [*(f"tA{n}" for n in range(1, 8)), *(f"A{n}" for n in range(1, 10)),
+               *(f"B{n}" for n in range(2, 8)), *(f"D{n}" for n in range(4, 8)),
+               "I2:5", "I2:6", "I2:inf"]
+RAW_DIGEST = "71cc89d295624a70eaa767de5025036614529eeca005963448efca0bcd88f2db"
+
+
+@pytest.mark.slow
+def test_raw_machines_frozen_on_presets_triangles_and_random_systems():
+    # one SHA-256 over the JSON and fsa.state_counts of the raw machine
+    # of every stage, on 29 presets, two triangles and 300 systems drawn
+    # from seed 0: any change to a builder's states or their numbering
+    # shows here
+    rng = random.Random(0)
+    systems = ([preset_system(n) for n in RAW_PRESETS]
+               + [TRIANGLE_4_INF_2, diagram(3, [(0, 1, 3), (1, 2, 3), (0, 2, 4)])]
+               + [_random_system(rng) for _ in range(300)])
+    digest = hashlib.sha256()
+    for system in systems:
+        for stage in ("fc", "cfc", "pipeline", "lexnf"):
+            a = build(system, stage)
+            for piece in a.json_pieces(system.names):
+                digest.update(piece.encode())
+            digest.update(repr(fsa.state_counts(a)).encode())
+    assert digest.hexdigest() == RAW_DIGEST
 
 
 def test_builds_are_reproducible():

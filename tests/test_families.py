@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from cfcgf import cfc_automaton
+from cfcgf import cfc_automaton, fsa, lexnf
 from cfcgf.core import INF, diagram, preset_system
 from cfcgf.genfun import count_by_length, counted_genfun
 
@@ -91,6 +91,60 @@ def test_a_finite_trees_longest_cfc_elements_are_its_coxeter_elements(name):
     # counts the Coxeter elements
     r = system(name).rank
     assert series(name)[1].num[r:] == (2 ** (r - 1),)
+
+
+def _catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+# the FC elements of the irreducible FC-finite systems (Stembridge,
+# J. Algebraic Combin. 7, 1998): proven totals
+FC_TOTALS = {
+    **{f"A{n}": _catalan(n + 1) for n in range(2, 11)},
+    **{f"B{n}": (n + 2) * _catalan(n) - 1 for n in range(2, 10)},
+    **{f"D{n}": (n + 3) * _catalan(n) // 2 - 1 for n in range(4, 10)},
+    "E6": 662, "E7": 2670, "E8": 10846, "F4": 106, "H3": 44, "H4": 195,
+    **{f"I2:{m}": 2 * m - 1 for m in range(3, 9)},
+}
+
+
+@pytest.mark.parametrize("name", FC_TOTALS)
+def test_the_fc_element_machine_counts_stembridges_totals(name):
+    # one word per FC element: the linear recognizer cut by lexnf, with
+    # no rotation closure
+    s = system(name)
+    gf = counted_genfun(fsa.product(cfc_automaton.factors(s) + [lexnf.build(s)]))[1]
+    assert gf.den == (1,)
+    assert sum(gf.num) == FC_TOTALS[name]
+
+
+# the raw pipeline's states less its sink
+TREE_PIPELINES = {"A6": 233, "B5": 110, "D5": 98, "E6": 249, "F4": 49,
+                  "H3": 27, "H4": 68, "I2:5": 9}
+
+
+@pytest.mark.parametrize("name", TREE_PIPELINES)
+def test_a_depth_first_walk_of_the_closure_counts_the_pipeline(name):
+    # measured, not proven (ROADMAP baseline): on these FC-finite systems
+    # the raw pipeline is a tree, so a depth-first walk over the closure's
+    # step, with no search and no registry of found states, visits each
+    # state but the sink once and counts the accepted words by depth
+    s = system(name)
+    start, step, accepts = fsa._closure(cfc_automaton.factors(s), lexnf.build(s),
+                                        fsa.DEFAULT_STATE_BUDGET)
+    counts, visits = [], 0
+    path = [(start, 0)]
+    while path:
+        q, depth = path.pop()
+        visits += 1
+        if depth == len(counts):
+            counts.append(0)
+        counts[depth] += accepts(q)
+        path.extend((r, depth + 1) for c in range(s.rank)
+                    if (r := step(q, c)) is not None)
+    pipeline = cfc_automaton.build(s, "pipeline")
+    assert visits == pipeline.num_states - 1 == TREE_PIPELINES[name]
+    assert count_by_length(pipeline, len(counts)) == counts + [0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=slow),

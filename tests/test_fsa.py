@@ -415,25 +415,33 @@ def test_rotation_closure_needs_a_prefix_closed_machine():
 
 
 def test_no_closure_table_outlives_the_search(monkeypatch):
-    # the functions rotation_closure defines hold its tables: none may be
-    # alive while any machine is assembled, its own one included
+    # the functions _closure defines hold its tables: they must be alive
+    # while its own search runs, the last one, and none may be alive while
+    # any machine is assembled, the closure's own one included
     def closure_functions():
         return [f.__qualname__ for f in gc.get_objects()
                 if isinstance(f, types.FunctionType) and f.__module__ == "cfcgf.fsa"
-                and f.__qualname__.startswith("rotation_closure.<locals>")]
+                and f.__qualname__.startswith("_closure.<locals>")]
 
-    alive = []
-    machine = fsa._machine
+    searching, assembling = [], []
+    explore, machine = fsa._explore, fsa._machine
 
-    def checked(*args):
-        alive.append(closure_functions())
+    def checked_explore(*args):
+        searching.append(closure_functions())
+        return explore(*args)
+
+    def checked_machine(*args):
+        assembling.append(closure_functions())
         return machine(*args)
 
     gc.collect()  # leftovers of earlier tests
-    monkeypatch.setattr(fsa, "_machine", checked)
+    monkeypatch.setattr(fsa, "_explore", checked_explore)
+    monkeypatch.setattr(fsa, "_machine", checked_machine)
     a = cfc_automaton.build(parse_system("tA3"), "pipeline")
     assert a.num_states == 112  # the closure's machine, the last one made
-    assert len(alive) > 1 and not any(alive), alive
+    assert "_closure.<locals>.step" in searching[-1], searching
+    assert not any(searching[:-1]), searching
+    assert len(assembling) > 1 and not any(assembling), assembling
 
 
 def test_dot_output():
