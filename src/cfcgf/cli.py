@@ -68,10 +68,7 @@ def cmd_automaton(args) -> int:
 def cmd_series(args) -> int:
     system = _load_system(args.system)
     a = cfc_automaton.build(system, args.stage, args.state_budget)
-    # counted until a P/Q holds, whose expansion is then the rest
-    coeffs, gf = genfun.counted_genfun(a, args.max_len)
-    if gf is not None:
-        coeffs += gf.expand(args.max_len)[len(coeffs):]
+    coeffs = genfun.counted_genfun(a, args.max_len)[0]
     _write_json({"coeffs": [str(c) for c in coeffs]}, args.out)
     return 0
 
@@ -133,7 +130,7 @@ def verify(
         return None
     k = len(witness)
     side = "oracle only" if witness in words else "automaton only"
-    got = genfun.count_by_length(dfa, k)[k]
+    got = genfun.counted_genfun(dfa, k)[0][k]
     return k, got, report.counts()[k], witness, side
 
 

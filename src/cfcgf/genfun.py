@@ -36,16 +36,6 @@ def _walk(a: fsa.Dfa):
     return v0, step, sum(live)
 
 
-def count_by_length(a: fsa.Dfa, n_max: int) -> list[int]:
-    """coeffs[k] = number of accepted words of length k, 0 <= k <= n_max."""
-    vec, step, _ = _walk(a)
-    out = [sum(vec[q] for q in a.finals)]
-    for _ in range(n_max):
-        vec = step(vec)
-        out.append(sum(vec[q] for q in a.finals))
-    return out
-
-
 # The Mersenne primes 2^e - 1 for these e: known primes, so no primality
 # test, and together 19,168 bits for the coefficients of a recurrence.
 PRIMES = tuple(2**e - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203,
@@ -182,8 +172,9 @@ def counted_genfun(a: fsa.Dfa, n_max: int | None = None
     counting on from the last vector.  Below that cap P/Q must be
     `_certified`, and is then minimal: its order, one prime's, is at most
     the series' own.  At the cap, 2l terms fix a recurrence of order at
-    most l (Cayley-Hamilton).  Given n_max, counting stops at s_n_max if
-    no P/Q is found before, and then the P/Q returned is None."""
+    most l (Cayley-Hamilton).  Given n_max, the terms are s_0..s_n_max:
+    counting stops at s_n_max if no P/Q is found before, and then the P/Q
+    returned is None; a P/Q found before gives the rest by its expansion."""
     v0, step, live = _walk(a)
     cap = 2 * live + 2
     vec, seq, k = v0, [sum(v0[q] for q in a.finals)], 64
@@ -203,5 +194,7 @@ def counted_genfun(a: fsa.Dfa, n_max: int | None = None
                 raise
         else:
             if k == cap or _certified(gf.den, v0, step, k):
+                if n_max is not None:
+                    seq += gf.expand(n_max)[len(seq):]
                 return seq, gf
         k *= 2

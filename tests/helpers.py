@@ -44,6 +44,23 @@ def accepted_words(dfa: Dfa, max_len: int) -> list[Word]:
     return out
 
 
+def count_words(dfa: Dfa, n: int) -> list[int]:
+    """Accepted words of each length 0..n, by a walk from the initial
+    state over every state but the dead one, keeping only the states
+    that words reach.  It shares no code with `genfun`: a reference."""
+    out = []
+    vec = {dfa.initial: 1}
+    for _ in range(n + 1):
+        out.append(sum(c for q, c in vec.items() if q in dfa.finals))
+        nxt: dict[int, int] = {}
+        for q, c in vec.items():
+            for r in dfa.delta[q]:
+                if r != dfa.dead:
+                    nxt[r] = nxt.get(r, 0) + c
+        vec = nxt
+    return out
+
+
 def to_json_dict(a: Dfa, names) -> dict:
     """The document `Dfa.json_pieces` writes, with names[c] for letter c."""
     return {

@@ -16,7 +16,7 @@ from cfcgf.cli import verify
 from cfcgf.core import cyclic_shifts, parse_system, preset_system
 from cfcgf.genfun import RationalGF
 from cfcgf.oracle import commutation_class, count_elements, is_cfc
-from helpers import accepted_words, is_subset
+from helpers import accepted_words, count_words, is_subset
 
 INF_TRIANGLE = '{"matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]]}'
 
@@ -55,7 +55,7 @@ def test_01_element_counts_match_brute_force(capsys):
     failures = []
     for name, max_len in SUITE.items():
         system = suite_system(name)
-        got = genfun.count_by_length(pipeline(system), max_len)
+        got = count_words(pipeline(system), max_len)
         want = count_elements(system, max_len, kind="cfc").counts()
         if got != want:
             failures.append((name, got, want))
@@ -189,7 +189,7 @@ def test_03_fully_commutative_counts_match_brute_force(capsys):
     failures = []
     for name, max_len in SUITE.items():
         system = suite_system(name)
-        got = genfun.count_by_length(pipeline(system, mode="fc"), max_len)
+        got = count_words(pipeline(system, mode="fc"), max_len)
         want = count_elements(system, max_len, kind="fc").counts()
         if got != want:
             failures.append((name, got, want))
@@ -229,7 +229,7 @@ def test_05_rational_forms_reexpand_to_direct_counts(capsys):
         a = pipeline(suite_system(name))
         gf = genfun.counted_genfun(a)[1]
         horizon = 3 * a.num_states
-        if gf.expand(horizon) != genfun.count_by_length(a, horizon):
+        if gf.expand(horizon) != count_words(a, horizon):
             failures.append(name)
     verdict(capsys, "re-expansion vs direct count", not failures)
     assert not failures, failures

@@ -28,7 +28,7 @@ from cfcgf.core import (
 from cfcgf.errors import BudgetError
 from cfcgf.genfun import RationalGF
 from cfcgf.oracle import count_elements, is_cfc, is_reduced_fc
-from helpers import accepted_words, is_subset, to_json
+from helpers import accepted_words, count_words, is_subset, to_json
 
 INF_TRIANGLE = parse_system(
     '{"matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]]}'
@@ -489,7 +489,7 @@ def test_affine_defect_words_are_not_cfc(name):
 def test_affine_cycle_counts_are_periodic(n):
     # past length n+1 the CFC elements of tA_n come only at the multiples
     # of n+1, always 2^(n+1) - 2 of them
-    counts = genfun.count_by_length(_pipeline(f"tA{n}"), 4 * (n + 1))
+    counts = count_words(_pipeline(f"tA{n}"), 4 * (n + 1))
     for length in range(n + 1, len(counts)):
         want = 2 ** (n + 1) - 2 if length % (n + 1) == 0 else 0
         assert counts[length] == want, length
@@ -503,14 +503,14 @@ def test_exact_generating_function_of_the_rank_6_cycle():
 
 def test_triangle_4_inf_2_counts_past_the_brute_force_suite():
     # an earlier builder found 23, 48 and 81 here
-    counts = genfun.count_by_length(build(TRIANGLE_4_INF_2, "pipeline"), 12)
+    counts = count_words(build(TRIANGLE_4_INF_2, "pipeline"), 12)
     assert (counts[9], counts[11], counts[12]) == (24, 50, 82)
 
 
 def test_mixed_edge_counts_agree_with_brute_force():
     # an earlier builder found 7 at length 10 and 14 at length 12
     a = build(MIXED_EDGE, "pipeline")
-    counts = genfun.count_by_length(a, 12)
+    counts = count_words(a, 12)
     assert counts == count_elements(MIXED_EDGE, 12).counts()
     assert (counts[10], counts[12]) == (8, 16)
     witness = (2, 1, 2, 1, 0, 2, 1, 2, 1, 0)
@@ -667,7 +667,7 @@ def test_counted_genfun_is_the_cayley_hamilton_answer_on_every_stage(system):
     for mode in ("fc", "cfc", "pipeline"):
         a = build(system, mode)
         live = sum(fsa.coreachable(a))
-        want = genfun.to_rational(genfun.count_by_length(a, 2 * live + 2))
+        want = genfun.to_rational(count_words(a, 2 * live + 2))
         assert genfun.counted_genfun(a)[1] == want
 
 

@@ -18,8 +18,8 @@ from cfcgf import cfc_automaton, core, fsa, lexnf, oracle
 from cfcgf.cli import main, verify
 from cfcgf.core import preset_system
 from cfcgf.errors import InternalError
-from cfcgf.genfun import RationalGF, count_by_length
-from helpers import to_json
+from cfcgf.genfun import RationalGF
+from helpers import count_words, to_json
 
 
 def run(capsys, *argv):
@@ -527,7 +527,7 @@ def test_series_past_a_certified_pq_is_the_direct_count(capsys):
     code, out, _ = run(capsys, "series", "--system", "tA5", "--max-len", "300",
                        "--per-expression")
     assert code == 0
-    assert json.loads(out) == {"coeffs": [str(c) for c in count_by_length(a, 300)]}
+    assert json.loads(out) == {"coeffs": [str(c) for c in count_words(a, 300)]}
 
 
 def test_genfun_prints_rational_form(capsys):
@@ -558,7 +558,7 @@ def test_genfun_coeffs_are_the_certified_prefix(capsys, tmp_path):
     # P/Q is certified on the first prefix, lengths 0..64; the cap would
     # be 2l+2 for the pipeline's l live states
     a = cfc_automaton.build(preset_system("tA3"), "pipeline")
-    assert doc["coeffs"] == [str(c) for c in count_by_length(a, 64)]
+    assert doc["coeffs"] == [str(c) for c in count_words(a, 64)]
     assert 2 * sum(fsa.coreachable(a)) + 3 > 65
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from cfcgf import cfc_automaton, fsa, lexnf
 from cfcgf.core import INF, diagram, preset_system
-from cfcgf.genfun import count_by_length, counted_genfun
+from cfcgf.genfun import counted_genfun
+from helpers import count_words
 
 slow = pytest.mark.slow
 
@@ -144,7 +145,7 @@ def test_a_depth_first_walk_of_the_closure_counts_the_pipeline(name):
                     if (r := step(q, c)) is not None)
     pipeline = cfc_automaton.build(s, "pipeline")
     assert visits == pipeline.num_states - 1 == TREE_PIPELINES[name]
-    assert count_by_length(pipeline, len(counts)) == counts + [0]
+    assert count_words(pipeline, len(counts)) == counts + [0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=slow),
@@ -241,7 +242,7 @@ def test_a_reducible_system_counts_as_the_product_of_its_components(seed):
     n = 30
 
     def counts(system, stage):
-        return count_by_length(cfc_automaton.build(system, stage), n)
+        return count_words(cfc_automaton.build(system, stage), n)
 
     b, c = (counts(part, "pipeline") for part in parts)
     assert counts(union, "pipeline") == [

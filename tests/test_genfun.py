@@ -11,12 +11,11 @@ from cfcgf.errors import InputError, InternalError
 from cfcgf.genfun import (
     PRIMES,
     RationalGF,
-    count_by_length,
     counted_genfun,
     find_recurrence,
     to_rational,
 )
-from helpers import accepted_words
+from helpers import accepted_words, count_words
 
 
 def pipeline(system):
@@ -234,7 +233,7 @@ def test_pipeline_generating_functions_frozen(name):
 def test_rational_form_reexpands_to_the_direct_count(name):
     a = pipeline(preset_system(name))
     gf = counted_genfun(a)[1]
-    assert gf.expand(20) == count_by_length(a, 20)
+    assert gf.expand(20) == count_words(a, 20)
 
 
 # found by counting the minimal cfc-stage machine to 2*minimized+2
@@ -252,14 +251,27 @@ PER_EXPRESSION_GFS = {
 }
 
 
-def test_counting_stops_at_n_max_or_at_a_certified_pq():
-    # tA5's cfc stage certifies its P/Q on the first 65 terms
+def test_counting_stops_at_n_max_or_at_a_certified_pq(monkeypatch):
+    # tA5's cfc stage certifies its P/Q on the first 65 terms; past them
+    # the terms come from its expansion
     a = cfc_automaton.build(preset_system("tA5"), "cfc")
     seq, gf = counted_genfun(a)
     assert len(seq) == 65
     assert counted_genfun(a, 40) == (seq[:41], None)
     assert counted_genfun(a, 64) == (seq, None)
-    assert counted_genfun(a, 300) == (seq, gf)
+    lengths = _prefixes_tried(monkeypatch)
+    assert counted_genfun(a, 300) == (gf.expand(300), gf)
+    assert lengths == [65]
+
+
+@pytest.mark.parametrize(
+    "name,stage,n",
+    [("tA5", "cfc", 40), ("tA5", "cfc", 64), ("tA5", "cfc", 300),
+     # past the cap 2l+2 = 20 for I2:5's 9 live states
+     ("I2:5", "pipeline", 70)])
+def test_counted_genfun_gives_the_lengths_0_to_n_max(name, stage, n):
+    a = cfc_automaton.build(preset_system(name), stage)
+    assert counted_genfun(a, n)[0] == count_words(a, n)
 
 
 @pytest.mark.parametrize("name", sorted(PER_EXPRESSION_GFS))
@@ -282,8 +294,8 @@ def test_reduced_machine_gives_the_raw_machines_answer(name):
     raw = pipeline(system)
     seq, gf = counted_genfun(raw)
     live = sum(fsa.coreachable(raw))
-    assert seq == count_by_length(raw, len(seq) - 1)
-    assert gf == to_rational(count_by_length(raw, 2 * live + 2))
+    assert seq == count_words(raw, len(seq) - 1)
+    assert gf == to_rational(count_words(raw, 2 * live + 2))
 
 
 def _prefixes_tried(monkeypatch) -> list[int]:
@@ -314,7 +326,7 @@ def test_a_prefix_too_short_for_the_order_doubles(monkeypatch):
     seq, gf = counted_genfun(a)
     assert lengths == [65, 129, 257] and len(seq) == 257
     assert (len(gf.num), len(gf.den)) == (70, 64)
-    assert gf.expand(400) == count_by_length(a, 400)
+    assert gf.expand(400) == count_words(a, 400)
 
 
 def _cycle_and_loop() -> fsa.Dfa:
@@ -332,7 +344,7 @@ def test_a_certificate_that_never_holds_counts_to_the_cap(monkeypatch):
     # z_n = v_n - v_{n-1} moves one count round the cycle and never
     # vanishes, so only the cap 2*42+2 for the 42 live states answers
     a = _cycle_and_loop()
-    assert count_by_length(a, 5) == [1, 2, 2, 2, 2, 2]
+    assert count_words(a, 5) == [1, 2, 2, 2, 2, 2]
     lengths = _prefixes_tried(monkeypatch)
     seq, gf = counted_genfun(a)
     assert lengths == [65, 87] and len(seq) == 87 == 2 * 42 + 3
@@ -368,8 +380,8 @@ def test_minimize_needs_no_trim_first(name, stage):
 
 def test_counting_is_invariant_under_trim_and_minimize():
     a = pipeline(preset_system("tA2"))
-    assert count_by_length(fsa.trim(a), 12) == count_by_length(a, 12)
-    assert count_by_length(fsa.minimize(a), 12) == count_by_length(a, 12)
+    assert count_words(fsa.trim(a), 12) == count_words(a, 12)
+    assert count_words(fsa.minimize(a), 12) == count_words(a, 12)
 
 
 def test_counting_skips_dead_states_without_a_hint():
@@ -384,9 +396,9 @@ def test_counting_skips_dead_states_without_a_hint():
     sizes = [0] * 9
     for w in accepted_words(a, 8):
         sizes[len(w)] += 1
-    assert count_by_length(a, 8) == sizes
+    assert counted_genfun(a, 8)[0] == sizes
     empty = fsa.Dfa(2, ((1, 0), (1, 1)), 0, frozenset())
-    assert count_by_length(empty, 3) == [0, 0, 0, 0]
+    assert counted_genfun(empty, 3)[0] == [0, 0, 0, 0]
 
 
 def _permuted(system, perm):
@@ -401,11 +413,11 @@ def test_counts_are_relabelling_invariant():
     # graph automorphisms and plain renamings change the normal forms
     # but never the number of elements per length
     b3 = preset_system("B3")
-    assert count_by_length(pipeline(b3), 12) == count_by_length(
+    assert count_words(pipeline(b3), 12) == count_words(
         pipeline(_permuted(b3, (2, 1, 0))), 12
     )
     ta3 = preset_system("tA3")
-    assert count_by_length(pipeline(ta3), 10) == count_by_length(
+    assert count_words(pipeline(ta3), 10) == count_words(
         pipeline(_permuted(ta3, (1, 2, 3, 0))), 10
     )
 
